@@ -18,7 +18,12 @@ def _non_null(values: Iterable[Any]) -> list[Any]:
     return [v for v in values if v is not None]
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _numeric(values: list[Any], fn_name: str) -> list[float | int]:
+    if set(map(type, values)) <= _NUMBER_TYPES:
+        return values  # the common case, checked in C
     out: list[float | int] = []
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -16,7 +16,14 @@ plan into *kernels* that run the same operators over batches:
   the row evaluator's semantics (Kleene AND/OR short-circuit, NULL
   propagation, error checks in the same order);
 * hash joins compile their key and residual expressions to closures and
-  run the executor's exact build/probe loops without Env allocation.
+  run the executor's exact build/probe loops without Env allocation; an
+  INNER join with no residual probes in one comprehension over the
+  selection.
+
+The executor uses the same compiler above the plan: projection, GROUP BY
+keys and aggregate arguments run as closures over the batch's row tuples,
+and :func:`column_position` picks out the plain columns it can gather
+column by column.
 
 Coverage is per node: a construct the compiler does not handle (subquery,
 outer-row reference, unknown function, ambiguous column) simply leaves
@@ -29,6 +36,7 @@ Nodes that received a kernel report ``columnar=true`` in EXPLAIN.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from repro.errors import ExecutionError, UnknownColumnError
@@ -52,13 +60,6 @@ RowFn = Callable[[tuple], Any]
 SelectorFn = Callable[[list, Iterable[int]], list]
 
 
-def join_key(value: Any) -> Any:
-    """Normalise numeric join keys so 1 and 1.0 land in one bucket."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
-
-
 class Batch:
     """Shared row storage plus the selection of live positions.
 
@@ -74,8 +75,7 @@ class Batch:
         self.sel = sel
 
     def materialize(self) -> list[tuple[Any, ...]]:
-        rows = self.rows
-        return [rows[i] for i in self.sel]
+        return list(map(self.rows.__getitem__, self.sel))
 
 
 # -- expression compilation ----------------------------------------------------
@@ -104,13 +104,10 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> RowFn | None:
         value = expr.value
         return lambda row: value
     if isinstance(expr, ast.ColumnRef):
-        try:
-            pos = scope.resolve(expr.name, expr.table)
-        except UnknownColumnError:
-            return None  # ambiguous: the row path raises it per query
+        pos = column_position(expr, scope)
         if pos is None:
-            return None  # outer-environment reference
-        return lambda row: row[pos]
+            return None  # ambiguous or outer reference: row path territory
+        return itemgetter(pos)
     if isinstance(expr, ast.UnaryOp):
         fn = compile_expr(expr.operand, scope)
         if fn is None:
@@ -158,6 +155,21 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> RowFn | None:
     if isinstance(expr, ast.InList):
         return _compile_in_list(expr, scope)
     return None  # subqueries, Star, anything new: row path territory
+
+
+def column_position(expr: ast.Expr, scope: Scope) -> int | None:
+    """Tuple position of ``expr`` when it is a plain column of ``scope``.
+
+    None for any other expression, an outer-row reference, or an
+    ambiguous name (the row path raises that one per query).  A plain
+    column cannot raise, so callers may read it in any order.
+    """
+    if not isinstance(expr, ast.ColumnRef):
+        return None
+    try:
+        return scope.resolve(expr.name, expr.table)
+    except UnknownColumnError:
+        return None
 
 
 def _compile_binary(expr: ast.BinaryOp, scope: Scope) -> RowFn | None:
@@ -596,6 +608,10 @@ def _install_hash_join(plan: HashJoinNode, database: Any) -> Scope:
         return scope
     build_left = plan.build == "left" and plan.kind == "INNER"
     left_join = plan.kind == "LEFT"
+    # An INNER join without a residual probes in one comprehension.  NULL
+    # probe keys find no bucket (NULLs are never built), and equal numbers
+    # hash equal, so 1 meets 1.0 as in SQL.
+    plain_inner = plan.kind == "INNER" and residual is None
 
     def kernel(engine: Any, node: HashJoinNode, outer_env: Any) -> tuple[Scope, Batch]:
         lscope, lbatch = engine._run_plan_batch(node.left, outer_env)
@@ -603,45 +619,43 @@ def _install_hash_join(plan: HashJoinNode, database: Any) -> Scope:
         out_scope = lscope.merge(rscope)
         lrows, lsel = lbatch.rows, lbatch.sel
         rrows, rsel = rbatch.rows, rbatch.sel
-        buckets: dict[Any, list[tuple[Any, ...]]] = {}
-        out: list[tuple[Any, ...]] = []
+        out: list[tuple[Any, ...]]
         if build_left:
-            for i in lsel:
-                row = lrows[i]
-                key = left_key(row)
-                if key is None:
-                    continue
-                buckets.setdefault(join_key(key), []).append(row)
+            buckets = _hash_build(lrows, lsel, left_key)
+            if plain_inner:
+                out = [
+                    left_row + right_row
+                    for right_row in map(rrows.__getitem__, rsel)
+                    for left_row in buckets.get(right_key(right_row), ())
+                ]
+                return out_scope, Batch(out, range(len(out)))
+            out = []
             for j in rsel:
                 right_row = rrows[j]
                 key = right_key(right_row)
                 if key is None:
                     continue
-                bucket = buckets.get(join_key(key))
-                if not bucket:
-                    continue
-                if residual is None:
-                    for left_row in bucket:
-                        out.append(left_row + right_row)
-                else:
-                    for left_row in bucket:
-                        combined = left_row + right_row
-                        if residual(combined) is True:
-                            out.append(combined)
+                for left_row in buckets.get(key, ()):
+                    combined = left_row + right_row
+                    if residual(combined) is True:
+                        out.append(combined)
             return out_scope, Batch(out, range(len(out)))
-        for j in rsel:
-            row = rrows[j]
-            key = right_key(row)
-            if key is None:
-                continue
-            buckets.setdefault(join_key(key), []).append(row)
+        buckets = _hash_build(rrows, rsel, right_key)
+        if plain_inner:
+            out = [
+                left_row + right_row
+                for left_row in map(lrows.__getitem__, lsel)
+                for right_row in buckets.get(left_key(left_row), ())
+            ]
+            return out_scope, Batch(out, range(len(out)))
+        out = []
         null_pad = (None,) * len(rscope)
         for i in lsel:
             left_row = lrows[i]
             key = left_key(left_row)
             matched = False
             if key is not None:
-                bucket = buckets.get(join_key(key))
+                bucket = buckets.get(key)
                 if bucket:
                     if residual is None:
                         matched = True
@@ -662,6 +676,22 @@ def _install_hash_join(plan: HashJoinNode, database: Any) -> Scope:
     return scope
 
 
+def _hash_build(rows: list, sel: Iterable[int], key_fn: RowFn) -> dict[Any, list]:
+    """Hash table of the selected rows by join key, NULL keys left out."""
+    buckets: dict[Any, list] = {}
+    for i in sel:
+        row = rows[i]
+        key = key_fn(row)
+        if key is None:
+            continue
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [row]
+        else:
+            bucket.append(row)
+    return buckets
+
+
 def _install_reorder(plan: ReorderNode, database: Any) -> Scope:
     child_scope = install_kernels(plan.child, database)
     segments: dict[str, tuple[int, int]] = {}
@@ -675,12 +705,13 @@ def _install_reorder(plan: ReorderNode, database: Any) -> Scope:
         entries.extend(child_scope.entries[start:end])
     scope = Scope(entries)
 
+    # Two or more bindings, so at least two positions: the getter returns
+    # the reordered row as a tuple.
+    reorder = itemgetter(*[i for s in slices for i in range(s.start, s.stop)])
+
     def kernel(engine: Any, node: ReorderNode, outer_env: Any) -> tuple[Scope, Batch]:
         _child_scope, batch = engine._run_plan_batch(node.child, outer_env)
-        rows = batch.rows
-        out = [
-            tuple(value for s in slices for value in rows[i][s]) for i in batch.sel
-        ]
+        out = list(map(reorder, map(batch.rows.__getitem__, batch.sel)))
         return scope, Batch(out, range(len(out)))
 
     plan._kernel = kernel

@@ -3,15 +3,24 @@
 :class:`Engine` is the public façade: it parses, plans, optimizes and runs
 statements against a :class:`~repro.sqlengine.database.Database`.
 
-The access plan (scans/joins/filters) produces a row stream; the executor
-then applies the "upper" query semantics — grouping and aggregation,
-HAVING, projection with star expansion, DISTINCT, ORDER BY and LIMIT —
-directly from the AST, because those need expression-level evaluation.
+The access plan (scans/joins/filters) produces a batch of row tuples; the
+executor then applies the "upper" query semantics — grouping and
+aggregation, HAVING, projection with star expansion, DISTINCT, ORDER BY
+and LIMIT — from the AST.  A columnar engine projects and groups the
+batch with compiled closures (:func:`~repro.sqlengine.columnar.compile_expr`),
+building one :class:`Env` per group rather than per row; an expression
+outside the compilable subset, and every query on a row engine
+(``use_columnar=False``), takes the row path, which evaluates through an
+``Env`` per input row.  Both paths hand DISTINCT/ORDER BY/LIMIT the same
+projection: output rows plus one list per ORDER BY key, sorted as an index
+permutation (:func:`~repro.sqlengine.types.sort_permutation`).
 """
 
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
+from operator import itemgetter
 from typing import Any, Iterable
 
 from repro.errors import (
@@ -24,9 +33,10 @@ from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.aggregates import AGGREGATE_NAMES, AGGREGATES
 from repro.sqlengine.columnar import (
     Batch,
+    RowFn,
+    column_position,
     compile_expr,
     install_kernels,
-    join_key as _join_key,
 )
 from repro.sqlengine.database import Database
 from repro.sqlengine.expressions import Env, Evaluator, Scope
@@ -46,8 +56,12 @@ from repro.sqlengine.planner import (
 )
 from repro.sqlengine.result import ResultSet
 from repro.sqlengine.schema import Column, ForeignKey, TableSchema
-from repro.sqlengine.types import SqlType, sort_key
+from repro.sqlengine.types import SqlType, sort_permutation
 from repro.storage.transactions import TransactionManager
+
+#: A projection: output column names, output rows, and one list per ORDER
+#: BY item holding that key's value for every output row.
+Projected = tuple[list[str], list[tuple[Any, ...]], list[list[Any]]]
 
 _TYPE_NAMES = {
     "int": SqlType.INT,
@@ -64,18 +78,32 @@ _TYPE_NAMES = {
 }
 
 
+def _tuple_of(fns: list[RowFn]) -> RowFn:
+    """One row closure returning the tuple of ``fns``' values, in order."""
+    return lambda row: tuple([fn(row) for fn in fns])
+
+
 class _AggregateEvaluator(Evaluator):
     """Evaluates expressions over a *group* of rows.
 
     Aggregate calls compute over all group rows; everything else resolves
     against the group's representative (first) row, matching the permissive
     semantics of engines like MySQL for non-grouped columns.
+
+    Group rows are :class:`Env` objects, or — when ``arg_fns`` maps every
+    aggregate call (by ``id``) to its compiled argument — raw row tuples.
     """
 
-    def __init__(self, base: Evaluator, group_rows: list[Env]) -> None:
+    def __init__(
+        self,
+        base: Evaluator,
+        group_rows: list[Any],
+        arg_fns: dict[int, RowFn] | None = None,
+    ) -> None:
         super().__init__(base._run_subquery)
         self._base = base
         self._group_rows = group_rows
+        self._arg_fns = arg_fns
 
     def evaluate(self, expr: ast.Expr, env: Env) -> Any:
         if isinstance(expr, ast.FunctionCall) and expr.name.lower() in AGGREGATE_NAMES:
@@ -90,8 +118,11 @@ class _AggregateEvaluator(Evaluator):
             return len(self._group_rows)
         if len(expr.args) != 1:
             raise ExecutionError(f"{expr.name}() takes exactly one argument")
-        arg = expr.args[0]
-        values = [self._base.evaluate(arg, row_env) for row_env in self._group_rows]
+        if self._arg_fns is not None:
+            values = list(map(self._arg_fns[id(expr)], self._group_rows))
+        else:
+            arg = expr.args[0]
+            values = [self._base.evaluate(arg, env) for env in self._group_rows]
         return AGGREGATES[name](values, distinct=expr.distinct)
 
 
@@ -366,53 +397,48 @@ class Engine:
                     columns, rows = cached
                     return ResultSet(list(columns), list(rows))
         plan = self._plan_for(select, cache_key)
-        projected = None
         if plan is None:
-            scope = Scope([])
-            rows: list[tuple[Any, ...]] = [()]
+            scope, batch = Scope([]), Batch([()], range(1))
         else:
-            kernel = getattr(plan, "_kernel", None)
-            if kernel is not None and not self._is_aggregate_query(select):
-                # Columnar fast path: project straight off the batch with
-                # compiled closures, skipping per-row Env allocation.  Falls
-                # back to the row projection when any output or ORDER BY
-                # expression is outside the compilable subset.
-                scope, batch = kernel(self, plan, outer_env)
-                projected = self._project_batch(select, scope, batch)
-                rows = [] if projected is not None else batch.materialize()
+            scope, batch = self._run_plan_batch(plan, outer_env)
+        aggregate = self._is_aggregate_query(select)
+        projected = None
+        if self.use_columnar:
+            # Columnar fast path: project or group straight off the batch
+            # with compiled closures, skipping per-row Env allocation.
+            # Returns None (row path below) when an expression is outside
+            # the compilable subset.
+            if aggregate:
+                projected = self._project_groups_batch(select, scope, batch, outer_env)
             else:
-                scope, rows = self._run_plan(plan, outer_env)
-
+                projected = self._project_batch(select, scope, batch)
         if projected is None:
-            envs = [Env(scope, row, outer_env) for row in rows]
-            if self._is_aggregate_query(select):
+            envs = [
+                Env(scope, row, outer_env)
+                for row in map(batch.rows.__getitem__, batch.sel)
+            ]
+            if aggregate:
                 projected = self._project_groups(select, scope, envs, outer_env)
             else:
-                if select.having is not None:
-                    raise PlanError("HAVING requires GROUP BY or aggregates")
                 projected = self._project_rows(select, scope, envs)
 
-        columns, keyed_rows = projected
+        columns, rows, keys = projected
         if select.distinct:
-            seen: set[tuple[Any, ...]] = set()
-            unique = []
-            for row, keys in keyed_rows:
-                marker = tuple(row)
-                if marker in seen:
-                    continue
-                seen.add(marker)
-                unique.append((row, keys))
-            keyed_rows = unique
-        if select.order_by:
-            for index in range(len(select.order_by) - 1, -1, -1):
-                descending = select.order_by[index].descending
-                keyed_rows.sort(
-                    key=lambda pair, i=index: sort_key(pair[1][i]),
-                    reverse=descending,
-                )
-        if select.limit is not None:
-            keyed_rows = keyed_rows[: select.limit]
-        result = ResultSet(columns, [row for row, _ in keyed_rows])
+            first: dict[tuple[Any, ...], int] = {}
+            for position, row in enumerate(rows):
+                first.setdefault(row, position)
+            if len(first) < len(rows):
+                kept = list(first.values())
+                rows = [rows[i] for i in kept]
+                keys = [[column[i] for i in kept] for column in keys]
+        if select.order_by and len(rows) > 1:
+            order = sort_permutation(
+                keys, [item.descending for item in select.order_by]
+            )
+            rows = [rows[i] for i in order[: select.limit]]
+        elif select.limit is not None:
+            rows = rows[: select.limit]
+        result = ResultSet(columns, rows)
         if cache_key is not None and outer_env is None and self.plan_cache is not None:
             self.plan_cache.store_result(
                 cache_key,
@@ -500,31 +526,54 @@ class Engine:
 
     def _project_rows(
         self, select: ast.Select, scope: Scope, envs: list[Env]
-    ) -> tuple[list[str], list[tuple[tuple[Any, ...], tuple[Any, ...]]]]:
+    ) -> Projected:
         items = self._expand_items(select, scope)
         order = self._order_exprs(select, items)
         columns = [name for _, name in items]
-        keyed_rows = []
+        rows = []
+        keys: list[list[Any]] = [[] for _ in order]
         for env in envs:
             row = tuple(self._evaluator.evaluate(expr, env) for expr, _ in items)
-            keys = tuple(
-                row[index] if expr is None else self._evaluator.evaluate(expr, env)
-                for expr, index in order
-            )
-            keyed_rows.append((row, keys))
-        return columns, keyed_rows
+            rows.append(row)
+            for column, (expr, index) in zip(keys, order):
+                column.append(
+                    row[index] if expr is None else self._evaluator.evaluate(expr, env)
+                )
+        return columns, rows, keys
 
     def _project_batch(
         self, select: ast.Select, scope: Scope, batch: Batch
-    ) -> tuple[list[str], list[tuple[tuple[Any, ...], tuple[Any, ...]]]] | None:
+    ) -> Projected | None:
         """Project a columnar batch with compiled row closures.
 
         Returns None when any output or ORDER BY expression falls outside
         the compilable subset (subquery, outer reference, unknown
         function), in which case the caller materializes the batch and
-        takes the row projection.
+        takes the row projection.  When every output and ORDER BY
+        expression is a plain column — nothing can raise, so evaluation
+        order is unobservable — the rows are built column by column in C.
         """
         items = self._expand_items(select, scope)
+        order = self._order_exprs(select, items)
+        columns = [name for _, name in items]
+        positions = [column_position(expr, scope) for expr, _ in items]
+        order_positions = [
+            None if expr is None else column_position(expr, scope)
+            for expr, _ in order
+        ]
+        if None not in positions and all(
+            expr is None or position is not None
+            for (expr, _), position in zip(order, order_positions)
+        ):
+            source = batch.materialize()
+            rows = list(zip(*[map(itemgetter(p), source) for p in positions]))
+            keys = [
+                list(map(itemgetter(index), rows))
+                if position is None
+                else list(map(itemgetter(position), source))
+                for (_, index), position in zip(order, order_positions)
+            ]
+            return columns, rows, keys
         item_fns = []
         for expr, _ in items:
             fn = compile_expr(expr, scope)
@@ -533,7 +582,7 @@ class Engine:
             item_fns.append(fn)
         #: int -> projected-column index; callable -> compiled expression.
         order_keys: list[Any] = []
-        for expr, index in self._order_exprs(select, items):
+        for expr, index in order:
             if expr is None:
                 order_keys.append(index)
                 continue
@@ -541,22 +590,24 @@ class Engine:
             if fn is None:
                 return None
             order_keys.append(fn)
-        columns = [name for _, name in items]
-        rows = batch.rows
-        keyed_rows = []
-        if not order_keys:
-            for i in batch.sel:
-                r = rows[i]
-                keyed_rows.append((tuple(fn(r) for fn in item_fns), ()))
-            return columns, keyed_rows
-        for i in batch.sel:
-            r = rows[i]
-            row = tuple(fn(r) for fn in item_fns)
-            keys = tuple(
-                row[key] if isinstance(key, int) else key(r) for key in order_keys
-            )
-            keyed_rows.append((row, keys))
-        return columns, keyed_rows
+        rows = []
+        keys = [[] for _ in order_keys]
+        for r in map(batch.rows.__getitem__, batch.sel):
+            row = tuple([fn(r) for fn in item_fns])
+            rows.append(row)
+            for column, key in zip(keys, order_keys):
+                column.append(row[key] if isinstance(key, int) else key(r))
+        return columns, rows, keys
+
+    def _group_items(
+        self, select: ast.Select, scope: Scope
+    ) -> tuple[list[tuple[ast.Expr, str]], list[tuple[ast.Expr | None, int | None]]]:
+        """Output items and ORDER BY keys of an aggregate query."""
+        for item in select.items:
+            if isinstance(item.expr, ast.Star):
+                raise PlanError("'*' cannot appear in an aggregate query")
+        items = self._expand_items(select, scope)
+        return items, self._order_exprs(select, items)
 
     def _project_groups(
         self,
@@ -564,50 +615,107 @@ class Engine:
         scope: Scope,
         envs: list[Env],
         outer_env: Env | None,
-    ) -> tuple[list[str], list[tuple[tuple[Any, ...], tuple[Any, ...]]]]:
-        for item in select.items:
-            if isinstance(item.expr, ast.Star):
-                raise PlanError("'*' cannot appear in an aggregate query")
-        items = self._expand_items(select, scope)
-        order = self._order_exprs(select, items)
-        columns = [name for _, name in items]
-
-        groups: dict[tuple[Any, ...], list[Env]] = {}
-        group_order: list[tuple[Any, ...]] = []
+    ) -> Projected:
+        items, order = self._group_items(select, scope)
+        groups: Iterable[list[Env]] = [envs]
         if select.group_by:
+            by_key: dict[tuple[Any, ...], list[Env]] = {}
             for env in envs:
                 key = tuple(
                     self._evaluator.evaluate(expr, env) for expr in select.group_by
                 )
-                if key not in groups:
-                    groups[key] = []
-                    group_order.append(key)
-                groups[key].append(env)
-        else:
-            key = ()
-            groups[key] = list(envs)
-            group_order.append(key)
+                by_key.setdefault(key, []).append(env)
+            groups = by_key.values()
+        null_env = Env(scope, (None,) * len(scope), outer_env)
+        return self._emit_groups(
+            select,
+            items,
+            order,
+            ((group, group[0] if group else null_env) for group in groups),
+            None,
+        )
 
-        keyed_rows = []
-        for key in group_order:
-            group_envs = groups[key]
-            representative = (
-                group_envs[0]
-                if group_envs
-                else Env(scope, tuple([None] * len(scope)), outer_env)
-            )
-            agg = _AggregateEvaluator(self._evaluator, group_envs)
+    def _project_groups_batch(
+        self,
+        select: ast.Select,
+        scope: Scope,
+        batch: Batch,
+        outer_env: Env | None,
+    ) -> Projected | None:
+        """Group a columnar batch with compiled key and argument closures.
+
+        Rows stay plain tuples; each group builds one :class:`Env`, for
+        its representative row.  Returns None (the row path then builds an
+        Env per row) when a GROUP BY key or an aggregate argument does not
+        compile — an outer reference or a subquery.
+        """
+        items, order = self._group_items(select, scope)
+        key_fns = [compile_expr(expr, scope) for expr in select.group_by]
+        if None in key_fns:
+            return None
+        arg_fns: dict[int, RowFn] = {}
+        roots = [expr for expr, _ in items] + [e for e, _ in order if e is not None]
+        if select.having is not None:
+            roots.append(select.having)
+        for root in roots:
+            for node in ast.walk(root):
+                if (
+                    isinstance(node, ast.FunctionCall)
+                    and node.name.lower() in AGGREGATE_NAMES
+                    and len(node.args) == 1
+                    and not isinstance(node.args[0], ast.Star)
+                ):
+                    fn = compile_expr(node.args[0], scope)
+                    if fn is None:
+                        return None
+                    arg_fns[id(node)] = fn
+        rows = batch.materialize()
+        groups: Iterable[list[tuple[Any, ...]]] = [rows]
+        if key_fns:
+            # Grouping by a bare value or by its 1-tuple is the same
+            # partition, so a single key skips the tuple.
+            key_fn = key_fns[0] if len(key_fns) == 1 else _tuple_of(key_fns)
+            by_key: defaultdict[Any, list[tuple[Any, ...]]] = defaultdict(list)
+            for row in rows:
+                by_key[key_fn(row)].append(row)
+            groups = by_key.values()
+        null_row = (None,) * len(scope)
+        return self._emit_groups(
+            select,
+            items,
+            order,
+            (
+                (group, Env(scope, group[0] if group else null_row, outer_env))
+                for group in groups
+            ),
+            arg_fns,
+        )
+
+    def _emit_groups(
+        self,
+        select: ast.Select,
+        items: list[tuple[ast.Expr, str]],
+        order: list[tuple[ast.Expr | None, int | None]],
+        groups: Iterable[tuple[list[Any], Env]],
+        arg_fns: dict[int, RowFn] | None,
+    ) -> Projected:
+        """HAVING, output row and ORDER BY keys for each (group, its
+        representative Env), in group order."""
+        rows = []
+        keys: list[list[Any]] = [[] for _ in order]
+        for group, representative in groups:
+            agg = _AggregateEvaluator(self._evaluator, group, arg_fns)
             if select.having is not None and agg.evaluate(
                 select.having, representative
             ) is not True:
                 continue
             row = tuple(agg.evaluate(expr, representative) for expr, _ in items)
-            keys = tuple(
-                row[index] if expr is None else agg.evaluate(expr, representative)
-                for expr, index in order
-            )
-            keyed_rows.append((row, keys))
-        return columns, keyed_rows
+            rows.append(row)
+            for column, (expr, index) in zip(keys, order):
+                column.append(
+                    row[index] if expr is None else agg.evaluate(expr, representative)
+                )
+        return [name for _, name in items], rows, keys
 
     # -- plan interpretation --------------------------------------------------------
 
@@ -764,7 +872,7 @@ class Engine:
                 )
                 if key is None:
                     continue
-                buckets.setdefault(_join_key(key), []).append(left_row)
+                buckets.setdefault(key, []).append(left_row)
             out = []
             for right_row in right_rows:
                 key = self._evaluator.evaluate(
@@ -772,7 +880,7 @@ class Engine:
                 )
                 if key is None:
                     continue
-                for left_row in buckets.get(_join_key(key), []):
+                for left_row in buckets.get(key, []):
                     combined = left_row + right_row
                     if plan.residual is None or self._evaluator.is_true(
                         plan.residual, Env(scope, combined, outer_env)
@@ -785,7 +893,7 @@ class Engine:
             )
             if key is None:
                 continue
-            buckets.setdefault(_join_key(key), []).append(right_row)
+            buckets.setdefault(key, []).append(right_row)
         null_pad = tuple([None] * len(right_scope))
         out = []
         for left_row in left_rows:
@@ -794,7 +902,7 @@ class Engine:
             )
             matched = False
             if key is not None:
-                for right_row in buckets.get(_join_key(key), []):
+                for right_row in buckets.get(key, []):
                     combined = left_row + right_row
                     if plan.residual is None or self._evaluator.is_true(
                         plan.residual, Env(scope, combined, outer_env)

@@ -121,42 +121,45 @@ def is_numeric(sql_type: SqlType) -> bool:
     return sql_type in (SqlType.INT, SqlType.FLOAT)
 
 
-class _NullOrder:
-    """Sort key wrapper placing NULLs first and ordering mixed values.
+_NULL_KEY = (0,)
+#: Key columns whose values all have one of these exact types sort raw.
+_RAW_NUMBERS = frozenset({int, float})
+_RAW_STRINGS = frozenset({str})
+
+
+def sort_key(value: Any) -> tuple:
+    """Total-order sort key for heterogeneous/NULL-bearing columns.
 
     SQL comparison with NULL yields unknown, but ORDER BY needs a total
-    order; the engine sorts NULLs first (ascending), as most engines do.
+    order: NULLs sort first (ascending), as most engines do, then BOOLs,
+    numbers (INT and FLOAT together) and everything else, each family
+    by its own ``<``.  A plain tuple, so the sort compares in C.
     """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def _rank(self) -> int:
-        if self.value is None:
-            return 0
-        if isinstance(self.value, bool):
-            return 1
-        if isinstance(self.value, (int, float)):
-            return 2
-        return 3
-
-    def __lt__(self, other: "_NullOrder") -> bool:
-        a, b = self._rank(), other._rank()
-        if a != b:
-            return a < b
-        if self.value is None:
-            return False
-        return self.value < other.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _NullOrder) and self.value == other.value
+    if value is None:
+        return _NULL_KEY
+    if isinstance(value, bool):
+        return (1, value)
+    if isinstance(value, (int, float)):
+        return (2, value)
+    return (3, value)
 
 
-def sort_key(value: Any) -> _NullOrder:
-    """Total-order sort key for heterogeneous/NULL-bearing columns."""
-    return _NullOrder(value)
+def sort_permutation(columns: list[list[Any]], descending: list[bool]) -> list[int]:
+    """Stable ORDER BY permutation of ``len(columns[0])`` rows.
+
+    ``columns[k]`` holds the k-th ORDER BY key of every row.  One stable
+    sort per key, last key first, so earlier keys take precedence and ties
+    keep input order (DESC included).  A key column of only non-bool
+    numbers, or only strings, sorts by its raw values; any other column
+    sorts by :func:`sort_key`, which orders those values identically.
+    """
+    order = list(range(len(columns[0])))
+    for column, desc in zip(reversed(columns), reversed(descending)):
+        families = set(map(type, column))
+        if not (families <= _RAW_NUMBERS or families == _RAW_STRINGS):
+            column = list(map(sort_key, column))
+        order.sort(key=column.__getitem__, reverse=desc)
+    return order
 
 
 def compare_values(left: Any, right: Any) -> int | None:

@@ -121,6 +121,20 @@ def engines():
         v = "NULL" if i % 3 == 1 else f"'{words[(i * 2) % len(words)]}'"
         n = "NULL" if i % 4 == 0 else str(i % 12 - 2)
         setup.execute(f"INSERT INTO u VALUES ({i}, {t_id}, {v}, {n})")
+    # Two tiny tables whose pinned answers are written out by hand below:
+    # an INT key against a FLOAT key holding integral floats, NULL keys on
+    # both sides, and one row more in q so statistics pick p as the build
+    # side whether it is written left or right.
+    setup.execute("CREATE TABLE p (id INT PRIMARY KEY, k INT, tag TEXT)")
+    setup.execute("CREATE TABLE q (id INT PRIMARY KEY, k FLOAT, note TEXT)")
+    setup.execute(
+        "INSERT INTO p VALUES (1, 1, 'one'), (2, 2, 'two'), (3, NULL, 'none'), "
+        "(4, 3, 'three'), (5, 1, 'uno')"
+    )
+    setup.execute(
+        "INSERT INTO q VALUES (10, 1.0, 'a'), (11, 2.5, 'b'), (12, NULL, 'c'), "
+        "(13, 3.0, 'd'), (14, 1.0, 'e'), (15, NULL, 'f')"
+    )
     return Engine(db, use_columnar=False), Engine(db, use_columnar=True)
 
 
@@ -308,8 +322,87 @@ PINNED = [
     "SELECT t.id, t.s FROM t WHERE t.a > 999",
 ]
 
+#: Pins whose answer is written out, so the two engines cannot drift
+#: together: the rows in order, or the error both must raise.
+EXPECTED: dict[str, tuple] = {
+    # Hash join without key normalisation: INT 1 meets FLOAT 1.0 because
+    # equal numbers hash equal.  Built on p (probe order = q's rows) ...
+    "SELECT p.id, q.id FROM p JOIN q ON p.k = q.k": (
+        (1, 10), (5, 10), (4, 13), (1, 14), (5, 14),
+    ),
+    # ... and built on p from the right (probe order = q's rows again).
+    "SELECT q.id, p.id FROM q JOIN p ON q.k = p.k": (
+        (10, 1), (10, 5), (13, 4), (14, 1), (14, 5),
+    ),
+    # NULL keys never match, not even each other.
+    "SELECT p.id FROM p JOIN q ON p.k = q.k WHERE q.k IS NULL": (),
+    # LEFT JOIN pads unmatched and NULL-keyed rows, with and without a
+    # residual.
+    "SELECT p.id, q.id, q.note FROM p LEFT JOIN q ON p.k = q.k": (
+        (1, 10, "a"), (1, 14, "e"), (2, None, None), (3, None, None),
+        (4, 13, "d"), (5, 10, "a"), (5, 14, "e"),
+    ),
+    "SELECT p.id, q.id FROM p LEFT JOIN q ON p.k = q.k AND q.id > 10": (
+        (1, 14), (2, None), (3, None), (4, 13), (5, 14),
+    ),
+    # An aggregate over an outer column inside a correlated subquery: the
+    # argument does not compile, so grouping keeps one Env per row.
+    "SELECT p.id, (SELECT SUM(p.k) FROM q WHERE q.k = p.k) AS s "
+    "FROM p ORDER BY p.id": ((1, 2), (2, None), (3, None), (4, 3), (5, 2)),
+    "SELECT SUM(p.tag) FROM p": (
+        "error", "ExecutionError", "sum() requires numeric input, got 'one'",
+    ),
+    # NULL is a group key like any other; groups come in first-seen order.
+    "SELECT p.k, COUNT(*) FROM p GROUP BY p.k": ((1, 2), (2, 1), (None, 1), (3, 1)),
+    "SELECT q.k, COUNT(*), MIN(q.note) FROM q GROUP BY q.k ORDER BY 2 DESC, 1": (
+        (None, 2, "c"), (1.0, 2, "a"), (2.5, 1, "b"), (3.0, 1, "d"),
+    ),
+    "SELECT COUNT(*), AVG(p.k) FROM p WHERE p.id > 99": ((0, None),),
+    # HAVING on an aggregate the select list does not carry.
+    "SELECT p.k FROM p GROUP BY p.k HAVING SUM(p.id) > 3": ((1,), (3,)),
+}
+PINNED += list(EXPECTED)
+
+
+def _answer(engine: Engine, sql: str) -> tuple:
+    outcome = _outcome(engine, sql)
+    return outcome if outcome[0] == "error" else outcome[2]
+
 
 @pytest.mark.parametrize("sql", PINNED)
 def test_pinned_parity(engines, sql):
     row_engine, col_engine = engines
     assert_identical(row_engine, col_engine, sql)
+    if sql in EXPECTED:
+        assert _answer(col_engine, sql) == EXPECTED[sql]
+        assert _answer(row_engine, sql) == EXPECTED[sql]
+
+
+def test_pinned_joins_cover_both_build_sides(engines):
+    _, col_engine = engines
+    assert "build=left" in col_engine.explain(
+        "SELECT p.id, q.id FROM p JOIN q ON p.k = q.k"
+    )
+    assert "build=right" in col_engine.explain(
+        "SELECT q.id, p.id FROM q JOIN p ON q.k = p.k"
+    )
+
+
+def test_aggregates_group_env_free_unless_an_argument_cannot_compile(
+    engines, monkeypatch
+):
+    """A columnar engine groups raw row tuples; only an aggregate whose
+    argument is an outer reference falls back to one Env per row."""
+    database = engines[1].database
+    engine = Engine(database, use_columnar=True)
+    env_path = []
+    real = engine._project_groups
+    monkeypatch.setattr(
+        engine, "_project_groups", lambda *args: env_path.append(args) or real(*args)
+    )
+    engine.execute("SELECT p.k, COUNT(*), SUM(p.id) FROM p GROUP BY p.k")
+    assert env_path == []
+    engine.execute(
+        "SELECT p.id, (SELECT SUM(p.k) FROM q WHERE q.k = p.k) FROM p ORDER BY p.id"
+    )
+    assert len(env_path) == 5  # the subquery, once per outer row

@@ -1,6 +1,8 @@
 """Unit tests for SQL value types, coercion and comparison."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TypeMismatchError
 from repro.sqlengine.types import (
@@ -11,6 +13,7 @@ from repro.sqlengine.types import (
     is_numeric,
     is_valid,
     sort_key,
+    sort_permutation,
 )
 
 
@@ -140,3 +143,97 @@ class TestSortKey:
     def test_equality(self):
         assert sort_key(5) == sort_key(5)
         assert not sort_key(5) == sort_key(6)
+
+
+class _NullOrder:
+    """The comparator-object sort key ``sort_key`` used to return, kept as
+    the reference the tuple key (and the raw-value fast path) must match."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def _rank(self):
+        if self.value is None:
+            return 0
+        if isinstance(self.value, bool):
+            return 1
+        if isinstance(self.value, (int, float)):
+            return 2
+        return 3
+
+    def __lt__(self, other):
+        a, b = self._rank(), other._rank()
+        if a != b:
+            return a < b
+        if self.value is None:
+            return False
+        return self.value < other.value
+
+
+_sort_settings = settings(max_examples=100, derandomize=True, deadline=None)
+
+# Small ranges so ties are common; signed zeros and NaN included — both a
+# shared NaN object and fresh ones, since tuple comparison checks identity.
+_numbers = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.5, float("nan"), float("inf")]),
+    st.builds(float, st.just("nan")),
+)
+_strings = st.text(alphabet="abAB ", max_size=2)
+_mixed = st.one_of(st.none(), st.booleans(), _numbers, _strings)
+
+
+def _reference_order(values, reverse):
+    """Input positions in the order ``sorted(key=_NullOrder)`` puts them."""
+    return sorted(
+        range(len(values)), key=lambda i: _NullOrder(values[i]), reverse=reverse
+    )
+
+
+class TestSortKeyMatchesReference:
+    """Positions, not values: equal values (ties, 1 vs 1.0, NaN) must keep
+    input order exactly as the reference comparator kept it."""
+
+    @_sort_settings
+    @given(values=st.lists(_mixed, max_size=12), reverse=st.booleans())
+    def test_mixed_values(self, values, reverse):
+        ordered = sorted(
+            range(len(values)), key=lambda i: sort_key(values[i]), reverse=reverse
+        )
+        assert ordered == _reference_order(values, reverse)
+
+    @_sort_settings
+    @given(
+        values=st.one_of(
+            st.lists(_numbers, min_size=1, max_size=12),
+            st.lists(_strings, min_size=1, max_size=12),
+            st.lists(_mixed, min_size=1, max_size=12),
+        ),
+        reverse=st.booleans(),
+    )
+    def test_single_key_permutation(self, values, reverse):
+        # int/float mixes and all-str lists take the raw-value path.
+        assert sort_permutation([values], [reverse]) == _reference_order(
+            values, reverse
+        )
+
+    @_sort_settings
+    @given(
+        rows=st.lists(st.tuples(_numbers, _mixed, _strings), min_size=1, max_size=12),
+        descending=st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    def test_multi_key_permutation(self, rows, descending):
+        # The reference: one stable comparator sort per key, last key first.
+        expected = list(range(len(rows)))
+        for k in (2, 1, 0):
+            expected.sort(key=lambda i: _NullOrder(rows[i][k]), reverse=descending[k])
+        columns = [[row[k] for row in rows] for k in range(3)]
+        assert sort_permutation(columns, descending) == expected
+
+    def test_raw_path_keeps_desc_ties_stable(self):
+        values = [2, 1.0, 2.0, 1, float("nan"), 2]
+        assert sort_permutation([values], [True]) == _reference_order(values, True)
+        words = ["b", "a", "b", "a"]
+        assert sort_permutation([words], [True]) == [0, 2, 1, 3]
