@@ -120,31 +120,31 @@ def build_database(seed: int = 11, employees: int = 40, sales: int = 200) -> Dat
         ],
     ))
 
-    for i, (name, city) in enumerate(_DEPARTMENTS, start=1):
-        db.insert("department", (i, name, city))
+    db.insert_many(
+        "department", ((i, *row) for i, row in enumerate(_DEPARTMENTS, start=1))
+    )
     rng = rng_for(seed, "employees")
     names = pick_unique(rng, _EMPLOYEE_NAMES, employees)
-    for i, name in enumerate(names, start=1):
-        title = rng.choice(_TITLES)
-        base = {"manager": 60000, "engineer": 52000, "analyst": 45000,
-                "clerk": 30000, "director": 80000}[title]
-        db.insert(
-            "employee",
-            (
+
+    def employee_rows():
+        for i, name in enumerate(names, start=1):
+            title = rng.choice(_TITLES)
+            base = {"manager": 60000, "engineer": 52000, "analyst": 45000,
+                    "clerk": 30000, "director": 80000}[title]
+            yield (
                 i, name, title,
                 base + rng.randint(-5000, 15000),
                 rng.randint(1960, 1977),
                 rng.randint(1, len(_DEPARTMENTS)),
-            ),
-        )
-    for i, (name, city, industry) in enumerate(_CUSTOMERS, start=1):
-        db.insert("customer", (i, name, city, industry))
-    for i, (name, category, price) in enumerate(_PRODUCTS, start=1):
-        db.insert("product", (i, name, category, price))
+            )
+
+    db.insert_many("employee", employee_rows())
+    db.insert_many("customer", ((i, *row) for i, row in enumerate(_CUSTOMERS, start=1)))
+    db.insert_many("product", ((i, *row) for i, row in enumerate(_PRODUCTS, start=1)))
     rng = rng_for(seed, "sales")
-    for i in range(1, sales + 1):
-        db.insert(
-            "sale",
+    db.insert_many(
+        "sale",
+        (
             (
                 i,
                 rng.randint(1, len(_PRODUCTS)),
@@ -152,8 +152,10 @@ def build_database(seed: int = 11, employees: int = 40, sales: int = 200) -> Dat
                 rng.randint(1, employees),
                 rng.randint(1, 500),
                 rng.randint(1974, 1977),
-            ),
-        )
+            )
+            for i in range(1, sales + 1)
+        ),
+    )
     return db
 
 

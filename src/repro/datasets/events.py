@@ -109,22 +109,24 @@ def build_database(seed: int = 23, events: int = 240) -> Database:
         ],
     ))
 
-    for i, (name, country) in enumerate(_DATACENTERS, start=1):
-        db.insert("datacenter", (i, name, country))
+    db.insert_many(
+        "datacenter", ((i, *row) for i, row in enumerate(_DATACENTERS, start=1))
+    )
 
     rng = rng_for(seed, "hosts")
-    for i, name in enumerate(_HOST_NAMES, start=1):
-        db.insert(
-            "host",
-            (i, name, rng.choice(_CPU_SIZES), rng.randint(1, len(_DATACENTERS))),
-        )
-    for i, (name, tier) in enumerate(_SERVICES, start=1):
-        db.insert("service", (i, name, tier))
+    db.insert_many(
+        "host",
+        (
+            (i, name, rng.choice(_CPU_SIZES), rng.randint(1, len(_DATACENTERS)))
+            for i, name in enumerate(_HOST_NAMES, start=1)
+        ),
+    )
+    db.insert_many("service", ((i, *row) for i, row in enumerate(_SERVICES, start=1)))
 
     rng = rng_for(seed, "events")
-    for i in range(1, events + 1):
-        db.insert(
-            "event",
+    db.insert_many(
+        "event",
+        (
             (
                 i,
                 rng.choice(_KINDS),
@@ -133,8 +135,10 @@ def build_database(seed: int = 23, events: int = 240) -> Database:
                 rng.randint(1, 90),
                 rng.randint(1, len(_HOST_NAMES)),
                 rng.randint(1, len(_SERVICES)),
-            ),
-        )
+            )
+            for i in range(1, events + 1)
+        ),
+    )
     return db
 
 

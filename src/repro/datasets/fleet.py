@@ -186,26 +186,30 @@ def build_database(seed: int = 7, ships: int = 60) -> Database:
         foreign_keys=[ForeignKey("ship_id", "ship", "id")],
     ))
 
-    for i, (name, ocean, hq) in enumerate(_FLEETS, start=1):
-        db.insert("fleet", (i, name, ocean, hq))
-    for i, (name, country) in enumerate(_PORTS, start=1):
-        db.insert("port", (i, name, country))
+    db.insert_many("fleet", ((i, *row) for i, row in enumerate(_FLEETS, start=1)))
+    db.insert_many("port", ((i, *row) for i, row in enumerate(_PORTS, start=1)))
     rng = rng_for(seed, "officers")
     officer_names = pick_unique(rng, _OFFICER_FIRST, ships)
-    for i, name in enumerate(officer_names, start=1):
-        db.insert("officer", (i, name, rng.choice(_RANKS), rng.choice(_NATIONALITIES)))
-    for i, (name, category) in enumerate(_SHIP_TYPES, start=1):
-        db.insert("shiptype", (i, name, category))
+    db.insert_many(
+        "officer",
+        (
+            (i, name, rng.choice(_RANKS), rng.choice(_NATIONALITIES))
+            for i, name in enumerate(officer_names, start=1)
+        ),
+    )
+    db.insert_many(
+        "shiptype", ((i, *row) for i, row in enumerate(_SHIP_TYPES, start=1))
+    )
 
     rng = rng_for(seed, "ships")
     ship_names = pick_unique(rng, _SHIP_NAMES, ships)
-    for i, name in enumerate(ship_names, start=1):
-        type_id = rng.randint(1, len(_SHIP_TYPES))
-        type_name = _SHIP_TYPES[type_id - 1][0]
-        displacement = rng.randint(*_DISPLACEMENT[type_name])
-        db.insert(
-            "ship",
-            (
+
+    def ship_rows():
+        for i, name in enumerate(ship_names, start=1):
+            type_id = rng.randint(1, len(_SHIP_TYPES))
+            type_name = _SHIP_TYPES[type_id - 1][0]
+            displacement = rng.randint(*_DISPLACEMENT[type_name])
+            yield (
                 i,
                 name,
                 type_id,
@@ -217,24 +221,26 @@ def build_database(seed: int = 7, ships: int = 60) -> Database:
                 rng.randint(*_SPEED[type_name]),
                 rng.randint(1955, 1977),
                 rng.randint(*_CREW[type_name]),
-            ),
-        )
+            )
+
+    db.insert_many("ship", ship_rows())
 
     rng = rng_for(seed, "deployments")
-    deployment_id = 1
-    for ship_id in range(1, ships + 1):
-        for _ in range(rng.randint(1, 3)):
-            db.insert(
-                "deployment",
-                (
+
+    def deployment_rows():
+        deployment_id = 1
+        for ship_id in range(1, ships + 1):
+            for _ in range(rng.randint(1, 3)):
+                yield (
                     deployment_id,
                     ship_id,
                     rng.choice(_MISSIONS),
                     rng.choice(_OCEANS),
                     rng.randint(1970, 1977),
-                ),
-            )
-            deployment_id += 1
+                )
+                deployment_id += 1
+
+    db.insert_many("deployment", deployment_rows())
     return db
 
 

@@ -133,16 +133,19 @@ def build_database(seed: int = 0) -> Database:
         foreign_keys=[ForeignKey("country_id", "country", "id")],
     ))
 
-    country_ids = {}
-    for i, (name, continent, population, area) in enumerate(_COUNTRIES, start=1):
-        db.insert("country", (i, name, continent, population, area))
-        country_ids[name] = i
-    for i, (name, country, population, capital) in enumerate(_CITIES, start=1):
-        db.insert("city", (i, name, country_ids[country], population, capital))
-    for i, (name, country, length) in enumerate(_RIVERS, start=1):
-        db.insert("river", (i, name, country_ids[country], length))
-    for i, (name, country, height) in enumerate(_MOUNTAINS, start=1):
-        db.insert("mountain", (i, name, country_ids[country], height))
+    db.insert_many("country", ((i, *row) for i, row in enumerate(_COUNTRIES, start=1)))
+    country_ids = {name: i for i, (name, *_) in enumerate(_COUNTRIES, start=1)}
+    # City, river and mountain rows are (name, country, ...): the country
+    # becomes its id.
+    located = {"city": _CITIES, "river": _RIVERS, "mountain": _MOUNTAINS}
+    for table, rows in located.items():
+        db.insert_many(
+            table,
+            (
+                (i, name, country_ids[country], *rest)
+                for i, (name, country, *rest) in enumerate(rows, start=1)
+            ),
+        )
     return db
 
 

@@ -114,8 +114,10 @@ def build_database(seed: int = 17, members: int = 40, tickets: int = 160) -> Dat
         ],
     ))
 
-    for i, (name, plan, region, seats) in enumerate(_TENANTS, start=1):
-        db.insert("tenant", (i, name, plan, region, seats))
+    db.insert_many("tenant", ((i, *row) for i, row in enumerate(_TENANTS, start=1)))
+
+    def tenant_of(i: int) -> int:
+        return (i - 1) % len(_TENANTS) + 1
 
     rng = rng_for(seed, "members")
     names = pick_unique(rng, _MEMBER_NAMES, members)
@@ -125,33 +127,42 @@ def build_database(seed: int = 17, members: int = 40, tickets: int = 160) -> Dat
     # assignee) extensionally equivalent — the corpus gold SQL stays
     # well-defined whichever tree the Steiner inference picks.
     members_of: dict[int, list[int]] = {}
-    for i, name in enumerate(names, start=1):
-        tenant_id = (i - 1) % len(_TENANTS) + 1
-        members_of.setdefault(tenant_id, []).append(i)
-        db.insert("member", (i, name, rng.choice(_ROLES), tenant_id))
+    for i in range(1, len(names) + 1):
+        members_of.setdefault(tenant_of(i), []).append(i)
+    db.insert_many(
+        "member",
+        (
+            (i, name, rng.choice(_ROLES), tenant_of(i))
+            for i, name in enumerate(names, start=1)
+        ),
+    )
 
     rng = rng_for(seed, "projects")
     # Two projects per tenant, so every tenant answers ticket questions.
-    for i, name in enumerate(_PROJECT_NAMES, start=1):
-        tenant_id = (i - 1) % len(_TENANTS) + 1
-        db.insert("project", (i, name, rng.choice(_STAGES), tenant_id))
+    db.insert_many(
+        "project",
+        (
+            (i, name, rng.choice(_STAGES), tenant_of(i))
+            for i, name in enumerate(_PROJECT_NAMES, start=1)
+        ),
+    )
 
     rng = rng_for(seed, "tickets")
-    for i in range(1, tickets + 1):
-        project_id = rng.randint(1, len(_PROJECT_NAMES))
-        tenant_id = (project_id - 1) % len(_TENANTS) + 1
-        db.insert(
-            "ticket",
-            (
+
+    def ticket_rows():
+        for i in range(1, tickets + 1):
+            project_id = rng.randint(1, len(_PROJECT_NAMES))
+            yield (
                 i,
                 f"T{1000 + i}",
                 rng.choice(_STATUSES),
                 rng.randint(1, 5),
                 rng.randint(1970, 1977),
                 project_id,
-                rng.choice(members_of[tenant_id]),
-            ),
-        )
+                rng.choice(members_of[tenant_of(project_id)]),
+            )
+
+    db.insert_many("ticket", ticket_rows())
     return db
 
 

@@ -10,7 +10,13 @@ paper.  It is deliberately self-contained (no NLTK).
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = "aeiou"
+
+#: Distinct words :func:`stem` remembers.  A value index stems every word
+#: of every stored string, but a real vocabulary has few distinct words.
+_MEMO_WORDS = 1 << 16
 
 
 def _is_consonant(word: str, i: int) -> bool:
@@ -176,8 +182,9 @@ def _step5b(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=_MEMO_WORDS)
 def stem(word: str) -> str:
-    """Stem one lower-case word.
+    """Stem one lower-case word (memoised: a pure function of the word).
 
     >>> stem("ships")
     'ship'

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from repro.errors import SchemaError
 from repro.sqlengine.database import Database
@@ -32,39 +32,39 @@ def load_csv(table: Table, source: str | Path | TextIO, header: bool = True) -> 
 
     With ``header=True`` the first line must name the columns (any order);
     otherwise cells must appear in schema order.  Empty cells load as NULL.
+    The rows go in as one bulk insert, so a bad row (or header) loads
+    nothing: the error is raised with the table untouched.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as handle:
             return load_csv(table, handle, header=header)
-    reader = csv.reader(source)
-    rows_loaded = 0
-    columns = list(table.schema.columns)
-    order = list(range(len(columns)))
-    first = True
-    for record in reader:
-        if not record:
-            continue
-        if first and header:
+
+    def rows() -> Iterator[dict[str, object]]:
+        columns = list(table.schema.columns)
+        order = list(range(len(columns)))
+        first = True
+        for record in csv.reader(source):
+            if not record:
+                continue
+            if first and header:
+                first = False
+                names = [cell.strip().lower() for cell in record]
+                unknown = set(names) - set(table.schema.column_names)
+                if unknown:
+                    raise SchemaError(
+                        f"CSV header names unknown columns {sorted(unknown)} "
+                        f"for table {table.name!r}"
+                    )
+                order = [names.index(col.name) for col in columns if col.name in names]
+                columns = [col for col in columns if col.name in names]
+                continue
             first = False
-            names = [cell.strip().lower() for cell in record]
-            unknown = set(names) - set(table.schema.column_names)
-            if unknown:
-                raise SchemaError(
-                    f"CSV header names unknown columns {sorted(unknown)} "
-                    f"for table {table.name!r}"
-                )
-            order = [names.index(col.name) for col in columns if col.name in names]
-            header_cols = [col for col in columns if col.name in names]
-            columns = header_cols
-            continue
-        first = False
-        values = {
-            col.name: _parse_cell(record[src], col.sql_type)
-            for col, src in zip(columns, order)
-        }
-        table.insert(values)
-        rows_loaded += 1
-    return rows_loaded
+            yield {
+                col.name: _parse_cell(record[src], col.sql_type)
+                for col, src in zip(columns, order)
+            }
+
+    return table.insert_many(rows())
 
 
 def dump_csv(table: Table, target: str | Path | TextIO | None = None) -> str:

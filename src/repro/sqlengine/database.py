@@ -21,10 +21,10 @@ from repro.sqlengine.table import Table, TableDelta
 class Database:
     """A named collection of tables.
 
-    Foreign keys are checked on :meth:`insert` and (both directions) on
-    :meth:`update_rows` when ``enforce_fk`` is on (default).  Bulk
-    loaders may switch it off and call :meth:`check_integrity` once at
-    the end.
+    Foreign keys are checked on :meth:`insert` / :meth:`insert_many` and
+    (both directions) on :meth:`update_rows` when ``enforce_fk`` is on
+    (default).  Bulk loaders may switch it off and call
+    :meth:`check_integrity` once at the end.
     """
 
     def __init__(self, name: str = "db", enforce_fk: bool = True) -> None:
@@ -175,12 +175,13 @@ class Database:
 
     @contextmanager
     def statement_scope(self) -> Iterator[None]:
-        """Hold the mutation lock across one multi-mutation statement.
+        """Hold the mutation lock across several table mutations.
 
-        Per-row operations (a multi-row INSERT) each take the shared lock
-        themselves; wrapping the whole statement in this (reentrant)
-        scope guarantees no snapshot can be pinned between its rows, so
-        readers never observe a half-applied statement.
+        Each mutation (one bulk INSERT, UPDATE or DELETE) takes the shared
+        lock itself; wrapping a group of steps (a checkpoint restore, a
+        COMMIT or ROLLBACK epilogue) in this (reentrant) scope guarantees
+        no snapshot can be pinned between them, so readers never observe
+        a half-applied group.
         """
         with self._mutation_lock:
             yield
@@ -288,28 +289,17 @@ class Database:
     # -- mutation with FK enforcement ----------------------------------------
 
     def insert(self, table_name: str, values: Mapping[str, Any] | Sequence[Any]) -> int:
+        """Insert one row with FK enforcement; returns its row id."""
         table = self.table(table_name)
-        if not self.enforce_fk or not table.schema.foreign_keys:
-            return table.insert(values)
-        # Validate *before* inserting: the old insert-then-compensate
-        # order let a concurrent snapshot pin the rejected row during the
-        # window between insert and rollback.  The row is normalised once
-        # and handed straight to the table.
-        row = table._normalise(values)
-        self._check_row_fks(table, row)
-        return table.insert_normalised(row)
+        return table.insert(values, self._fk_check(table))
 
     def insert_many(
         self, table_name: str, rows: Iterable[Mapping[str, Any] | Sequence[Any]]
     ) -> int:
-        count = 0
-        # One statement scope for the batch: a concurrent snapshot lands
-        # before or after the whole bulk insert, never between its rows.
-        with self.statement_scope():
-            for values in rows:
-                self.insert(table_name, values)
-                count += 1
-        return count
+        """Insert a batch, all or nothing (see :meth:`Table.insert_many`);
+        every row's FK values are validated before any row is applied."""
+        table = self.table(table_name)
+        return table.insert_many(rows, self._fk_check(table))
 
     def update_rows(
         self,
@@ -356,25 +346,44 @@ class Database:
             for fk in other.schema.foreign_keys
         )
 
-    def _check_row_fks(self, table: Table, row: tuple[Any, ...]) -> None:
-        """Validate a (not-yet-inserted) row's FK values against parents."""
-        for fk in table.schema.foreign_keys:
-            value = row[table.schema.column_index(fk.column)]
-            if value is None:
-                continue
-            if (
-                fk.ref_table == table.name
-                and row[table.schema.column_index(fk.ref_column)] == value
-            ):
-                # Self-referencing row satisfies its own FK (it used to be
-                # found by the post-insert lookup; keep accepting it).
-                continue
-            parent = self.table(fk.ref_table)
-            if not parent.lookup_equal(fk.ref_column, value):
-                raise IntegrityError(
-                    f"{table.name}.{fk.column}={value!r} has no match in "
-                    f"{fk.ref_table}.{fk.ref_column}"
-                )
+    def _fk_check(self, table: Table) -> Callable[[tuple[Any, ...]], None] | None:
+        """Row validator for one insert batch into ``table``, or None when
+        there is nothing to check.
+
+        Called on each (not-yet-inserted) row in batch order, it checks
+        every FK value against its parent.  Each distinct value is looked
+        up once per batch.  A self-referencing FK also accepts a key of
+        the row itself or of an earlier row in the same batch, as if the
+        rows had been inserted one at a time.
+        """
+        if not self.enforce_fk or not table.schema.foreign_keys:
+            return None
+        column_index = table.schema.column_index
+        checks = [
+            (
+                fk,
+                column_index(fk.column),
+                column_index(fk.ref_column) if fk.ref_table == table.name else None,
+                set(),  # values known to have a parent in this batch
+            )
+            for fk in table.schema.foreign_keys
+        ]
+
+        def check(row: tuple[Any, ...]) -> None:
+            for fk, pos, self_pos, known in checks:
+                if self_pos is not None:
+                    known.add(row[self_pos])
+                value = row[pos]
+                if value is None or value in known:
+                    continue
+                if not self.table(fk.ref_table).lookup_equal(fk.ref_column, value):
+                    raise IntegrityError(
+                        f"{table.name}.{fk.column}={value!r} has no match in "
+                        f"{fk.ref_table}.{fk.ref_column}"
+                    )
+                known.add(value)
+
+        return check
 
     def _check_update_fks(
         self,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from operator import itemgetter
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.errors import (
     ExecutionError,
@@ -942,22 +942,22 @@ class Engine:
 
     def _execute_insert(self, stmt: ast.Insert) -> ResultSet:
         table = self.database.table(stmt.table)
-        count = 0
-        # One statement scope around the row loop: a snapshot pinned by a
-        # concurrent reader lands before or after the whole multi-row
-        # INSERT, never between its rows.
-        with self.database.statement_scope():
+
+        def rows() -> Iterator[dict[str, Any] | list[Any]]:
             for row_exprs in stmt.rows:
                 values = [self._const(expr) for expr in row_exprs]
                 if stmt.columns:
                     if len(values) != len(stmt.columns):
                         raise PlanError("INSERT column/value count mismatch")
-                    self.database.insert(stmt.table, dict(zip(stmt.columns, values)))
+                    yield dict(zip(stmt.columns, values))
                 else:
                     if len(values) != len(table.schema.columns):
                         raise PlanError("INSERT value count mismatch")
-                    self.database.insert(stmt.table, values)
-                count += 1
+                    yield values
+
+        # One all-or-nothing batch: a failing row leaves the table
+        # untouched, and a concurrent snapshot sees all rows or none.
+        count = self.database.insert_many(stmt.table, rows())
         return ResultSet(["rows_affected"], [(count,)])
 
     def _matching_row_ids(self, table_name: str, where: ast.Expr | None) -> list[int]:

@@ -527,11 +527,19 @@ class TableStatistics:
 
     # -- hooks called by Table ---------------------------------------------
 
-    def on_insert(self, row: tuple[Any, ...]) -> None:
-        self._row_count += 1
-        self._version += 1
-        for name, value in zip(self.schema.column_names, row):
-            self._columns[name].add(value)
+    def on_insert_many(self, rows: list[tuple[Any, ...]]) -> None:
+        """Count a batch of inserted rows, column by column.
+
+        Each column sees its values in row order, so the result — counts,
+        extrema, the compression point and the compressed summary — is
+        exactly that of one insert at a time.
+        """
+        self._row_count += len(rows)
+        self._version += len(rows)
+        for name, values in zip(self.schema.column_names, zip(*rows)):
+            add = self._columns[name].add
+            for value in values:
+                add(value)
 
     def on_delete(self, row: tuple[Any, ...]) -> None:
         self._row_count = max(0, self._row_count - 1)

@@ -10,8 +10,13 @@ counter, so a write to one table never invalidates state derived only from
 others.  Mutations also emit a :class:`TableDelta` — the row-level string
 values that entered or left TEXT columns — which the owning database
 broadcasts to listeners for incremental index maintenance.  Bulk
-mutations (batched UPDATE via :meth:`Table.update_rows`, batched DELETE
-via :meth:`Table.delete_rows`) coalesce into **one** delta per statement.
+mutations (batched INSERT via :meth:`Table.insert_many`, batched UPDATE
+via :meth:`Table.update_rows`, batched DELETE via
+:meth:`Table.delete_rows`) coalesce into **one** delta and one version
+bump per statement, and are all-or-nothing: every row is validated
+before any is applied.  :meth:`Table.insert_many` is the only insert
+path — :meth:`Table.insert` is a one-row batch — and it feeds the
+statistics column by column.
 
 Row storage is **copy-on-write for snapshot readers** (MVCC): a pinned
 :class:`~repro.sqlengine.snapshot.TableSnapshot` shares the live rows,
@@ -30,7 +35,7 @@ from repro.errors import IntegrityError, SchemaError, TypeMismatchError
 from repro.sqlengine.indexes import HashIndex, SortedIndex
 from repro.sqlengine.schema import TableSchema
 from repro.sqlengine.statistics import TableStatistics
-from repro.sqlengine.types import SqlType, coerce_value, is_numeric
+from repro.sqlengine.types import STORED_TYPES, SqlType, coerce_value, is_numeric
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,11 @@ class Table:
             (i, col.name)
             for i, col in enumerate(schema.columns)
             if col.sql_type is SqlType.TEXT
+        )
+        #: Per column, the Python type a value already has when coercion
+        #: would return it unchanged (see :meth:`_normalise`).
+        self._stored_types: tuple[type, ...] = tuple(
+            STORED_TYPES[col.sql_type] for col in schema.columns
         )
         #: This table's own version stamp: bumped by every row mutation and
         #: by index DDL.  When the table belongs to a Database, stamps are
@@ -241,56 +251,83 @@ class Table:
                     f"table {self.name!r} expects {len(columns)} values, "
                     f"got {len(values)}"
                 )
-            raw = list(values)
+            raw = values
         out = []
-        for col, val in zip(columns, raw):
-            coerced = coerce_value(val, col.sql_type)
-            if coerced is None and not col.nullable:
-                raise IntegrityError(
-                    f"column {self.name}.{col.name} is NOT NULL"
-                )
-            out.append(coerced)
+        for col, stored, val in zip(columns, self._stored_types, raw):
+            if type(val) is not stored:  # anything else may need coercion
+                val = coerce_value(val, col.sql_type)
+                if val is None and not col.nullable:
+                    raise IntegrityError(f"column {self.name}.{col.name} is NOT NULL")
+            out.append(val)
         return tuple(out)
 
-    def insert(self, values: Mapping[str, Any] | Sequence[Any]) -> int:
-        """Insert one row; returns its row id."""
-        return self.insert_normalised(self._normalise(values))
-
-    def insert_normalised(self, row: tuple[Any, ...]) -> int:
-        """Insert an already-normalised row (one `_normalise` pass total
-        for callers — the FK-checking database — that prepared it)."""
+    def insert(
+        self,
+        values: Mapping[str, Any] | Sequence[Any],
+        check: Callable[[tuple[Any, ...]], None] | None = None,
+    ) -> int:
+        """Insert one row (a one-row :meth:`insert_many`); returns its row id."""
         with self._write_lock:
-            if self._pk_index is not None:
-                pk_pos = self.schema.column_index(
-                    self.schema.primary_key
-                )  # type: ignore[arg-type]
-                pk_val = row[pk_pos]
-                if pk_val is None:
-                    raise IntegrityError(
-                        f"primary key {self.name}.{self.schema.primary_key} cannot be NULL"
-                    )
-                if self._pk_index.lookup(pk_val):
-                    raise IntegrityError(
-                        f"duplicate primary key {pk_val!r} in table {self.name!r}"
-                    )
-            self._materialise_for_write()
-            row_id = len(self._rows)
-            self._rows.append(row)
-            self._live_count += 1
-            self._index_row(row_id, row)
-            self.statistics.on_insert(row)
-            self._notify_mutation(TableDelta(self.name, added=self._text_values(row)))
-        return row_id
+            self.insert_many((values,), check)
+            return len(self._rows) - 1
 
-    def insert_many(self, rows: Iterable[Mapping[str, Any] | Sequence[Any]]) -> int:
-        """Insert many rows under one lock scope; returns the number
-        inserted (a snapshot can never pin between the batch's rows)."""
-        count = 0
+    def insert_many(
+        self,
+        rows: Iterable[Mapping[str, Any] | Sequence[Any]],
+        check: Callable[[tuple[Any, ...]], None] | None = None,
+    ) -> int:
+        """Insert a batch of rows, all or nothing; returns the number inserted.
+
+        Every row is validated, in order, before any is applied: it is
+        normalised, handed to ``check`` (the database's FK validation),
+        and its primary key is checked against the table and against the
+        batch's earlier rows.  The first failure raises with the table
+        untouched.  The apply then detaches from snapshots once, extends
+        storage and indexes, feeds statistics column by column, and emits
+        **one** coalesced delta and version bump, like a bulk UPDATE or
+        DELETE.  The lock is held throughout, so no snapshot can pin a
+        half-inserted batch.
+        """
         with self._write_lock:
+            pk_index = self._pk_index
+            pk_pos = (
+                None
+                if pk_index is None
+                else self.schema.column_index(self.schema.primary_key)
+            )
+            batch: list[tuple[Any, ...]] = []
+            batch_keys: set[Any] = set()
             for values in rows:
-                self.insert(values)
-                count += 1
-        return count
+                row = self._normalise(values)
+                if check is not None:
+                    check(row)
+                if pk_pos is not None:
+                    pk_val = row[pk_pos]
+                    if pk_val is None:
+                        raise IntegrityError(
+                            f"primary key {self.name}.{self.schema.primary_key} "
+                            "cannot be NULL"
+                        )
+                    if pk_val in batch_keys or pk_index.lookup(pk_val):
+                        raise IntegrityError(
+                            f"duplicate primary key {pk_val!r} in table {self.name!r}"
+                        )
+                    batch_keys.add(pk_val)
+                batch.append(row)
+            if not batch:
+                return 0
+            self._materialise_for_write()
+            first = len(self._rows)
+            self._rows.extend(batch)
+            self._live_count += len(batch)
+            for index, pos in self._indexes():
+                add = index.add
+                for row_id, row in enumerate(batch, first):
+                    add(row[pos], row_id)
+            self.statistics.on_insert_many(batch)
+            added = tuple(pair for row in batch for pair in self._text_values(row))
+            self._notify_mutation(TableDelta(self.name, added=added))
+        return len(batch)
 
     def delete_row(self, row_id: int) -> bool:
         """Tombstone a row; returns True when a live row was removed."""
@@ -424,27 +461,23 @@ class Table:
 
     # -- indexes -----------------------------------------------------------
 
-    def _index_row(self, row_id: int, row: tuple[Any, ...]) -> None:
+    def _indexes(self) -> list[tuple[HashIndex | SortedIndex, int]]:
+        """Every index of the table (PK first) with its column position."""
+        column_index = self.schema.column_index
+        out: list[tuple[HashIndex | SortedIndex, int]] = []
         if self._pk_index is not None:
-            pk_pos = self.schema.column_index(
-                self.schema.primary_key
-            )  # type: ignore[arg-type]
-            self._pk_index.add(row[pk_pos], row_id)
-        for col, idx in self._hash_indexes.items():
-            idx.add(row[self.schema.column_index(col)], row_id)
-        for col, idx in self._sorted_indexes.items():
-            idx.add(row[self.schema.column_index(col)], row_id)
+            out.append((self._pk_index, column_index(self.schema.primary_key)))
+        for indexes in (self._hash_indexes, self._sorted_indexes):
+            out.extend((idx, column_index(col)) for col, idx in indexes.items())
+        return out
+
+    def _index_row(self, row_id: int, row: tuple[Any, ...]) -> None:
+        for index, pos in self._indexes():
+            index.add(row[pos], row_id)
 
     def _unindex_row(self, row_id: int, row: tuple[Any, ...]) -> None:
-        if self._pk_index is not None:
-            pk_pos = self.schema.column_index(
-                self.schema.primary_key
-            )  # type: ignore[arg-type]
-            self._pk_index.remove(row[pk_pos], row_id)
-        for col, idx in self._hash_indexes.items():
-            idx.remove(row[self.schema.column_index(col)], row_id)
-        for col, idx in self._sorted_indexes.items():
-            idx.remove(row[self.schema.column_index(col)], row_id)
+        for index, pos in self._indexes():
+            index.remove(row[pos], row_id)
 
     def create_hash_index(self, column: str) -> HashIndex:
         col = self.schema.column(column)

@@ -34,6 +34,15 @@ _PYTHON_TYPES: dict[SqlType, tuple[type, ...]] = {
     SqlType.BOOL: (bool,),
 }
 
+#: The Python type of a stored value of each SQL type: :func:`coerce_value`
+#: returns a value of exactly this type unchanged.
+STORED_TYPES: dict[SqlType, type] = {
+    SqlType.INT: int,
+    SqlType.FLOAT: float,
+    SqlType.TEXT: str,
+    SqlType.BOOL: bool,
+}
+
 
 def coerce_value(value: Any, sql_type: SqlType) -> Any:
     """Coerce ``value`` to ``sql_type``, raising :class:`TypeMismatchError`.

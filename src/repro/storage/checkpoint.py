@@ -165,10 +165,11 @@ def _topo_order(tables: list[dict[str, Any]]) -> list[dict[str, Any]]:
 def restore_checkpoint(database: "Database", payload: dict[str, Any]) -> int:
     """Replace ``database``'s entire contents with a checkpoint's.
 
-    Returns the number of rows restored.  Rows go in through the table
-    layer directly (no FK re-validation — the checkpoint was taken from a
-    consistent state), under one statement scope so no reader can pin a
-    half-restored catalog.
+    Returns the number of rows restored.  Each table's rows go in as one
+    bulk :meth:`~repro.sqlengine.table.Table.insert_many` through the
+    table layer directly (no FK re-validation — the checkpoint was taken
+    from a consistent state), under one statement scope so no reader can
+    pin a half-restored catalog.
     """
     rows_restored = 0
     with database.statement_scope():
@@ -176,9 +177,7 @@ def restore_checkpoint(database: "Database", payload: dict[str, Any]) -> int:
             database.drop_table(name)
         for tdata in _topo_order(payload["tables"]):
             table = database.create_table(_schema_from_dict(tdata["schema"]))
-            for row in tdata["rows"]:
-                table.insert(row)
-                rows_restored += 1
+            rows_restored += table.insert_many(tdata["rows"])
             for column in tdata.get("hash_indexes", ()):
                 table.create_hash_index(column)
             for column in tdata.get("sorted_indexes", ()):

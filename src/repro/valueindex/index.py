@@ -270,9 +270,7 @@ class ValueIndex:
             bucket = mapping.get(key)
             if bucket is None:
                 continue
-            bucket[:] = [
-                h for h in bucket if (h.table, h.column, h.value) != doomed
-            ]
+            bucket[:] = [h for h in bucket if (h.table, h.column, h.value) != doomed]
             if not bucket:
                 del mapping[key]
 

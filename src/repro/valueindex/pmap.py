@@ -168,6 +168,38 @@ def _delete(node: Any, shift: int, h: int, key: Any) -> Any:
     return _Collision(h, pairs)
 
 
+def _build(shift: int, entries: list[tuple[int, Any, Any]]) -> Any:
+    """Trie over ``(hash, key, value)`` entries whose hashes agree below
+    ``shift``.
+
+    One entry is a leaf, and entries sharing one full hash are a
+    collision bucket in mapping order — what :func:`_merge` makes of
+    them.  Otherwise a branch holds one child per 5-bit chunk at
+    ``shift``, in bit order, each built from its entries in mapping order.
+    """
+    h, key, value = entries[0]
+    if len(entries) == 1:
+        return _Leaf(h, key, value)
+    # The second entry rejects almost every group before the full scan.
+    if entries[1][0] == h and all(entry[0] == h for entry in entries):
+        return _Collision(h, tuple((k, v) for _, k, v in entries))
+    groups: dict[int, list[tuple[int, Any, Any]]] = {}
+    for entry in entries:
+        chunk = (entry[0] >> shift) & _MASK
+        if chunk in groups:
+            groups[chunk].append(entry)
+        else:
+            groups[chunk] = [entry]
+    bitmap = 0
+    children = []
+    shift += _BITS
+    for chunk in sorted(groups):
+        bitmap |= 1 << chunk
+        group = groups[chunk]
+        children.append(_Leaf(*group[0]) if len(group) == 1 else _build(shift, group))
+    return _Node(bitmap, tuple(children))
+
+
 def _iter_items(node: Any) -> Iterator[tuple[Any, Any]]:
     if node is None:
         return
@@ -199,10 +231,16 @@ class PMap:
 
     @classmethod
     def from_dict(cls, mapping: Mapping[Any, Any]) -> "PMap":
-        out = _EMPTY
-        for key, value in mapping.items():
-            out = out.set(key, value)
-        return out
+        """Build in one pass the trie that ``set`` per item would build.
+
+        Every key is hashed once, then the items are partitioned on
+        successive 5-bit hash chunks (:func:`_build`): the same nodes, in
+        the same order, as inserting ``mapping`` item by item.
+        """
+        if not mapping:
+            return _EMPTY
+        entries = [(_hash(key), key, value) for key, value in mapping.items()]
+        return PMap(_build(0, entries), len(entries))
 
     def get(self, key: Any, default: Any = None) -> Any:
         if self._root is None:

@@ -3,7 +3,8 @@
 Three layers under test:
 
 * :class:`repro.valueindex.pmap.PMap` — the HAMT itself, differentially
-  fuzzed against ``dict`` and probed on hash collisions;
+  fuzzed against ``dict`` and probed on hash collisions, and its one-pass
+  ``from_dict`` build compared node for node with successive ``set`` calls;
 * :class:`~repro.valueindex.ValueIndex` in persistent mode — identical
   lookup behaviour, O(1) clones, structural sharing across a publish
   (checked by *object identity sampling*: untouched buckets in the
@@ -25,7 +26,7 @@ from repro.datasets import fleet
 from repro.nlp.spelling import SpellingCorrector
 from repro.sqlengine.table import TableDelta
 from repro.valueindex import ValueIndex
-from repro.valueindex.pmap import PMap
+from repro.valueindex.pmap import PMap, _Collision, _Leaf, _Node
 
 
 class TestPMap:
@@ -99,6 +100,107 @@ class TestPMap:
         # One key changed: every other bucket object is aliased, not copied.
         assert shared == 1999
         assert base.get(17) == (17,) and updated.get(17) == (17, 17)
+
+
+class _Fixed:
+    """Key with a chosen hash, equal only to a key of the same name."""
+
+    def __init__(self, name, hash_value):
+        self.name = name
+        self.hash_value = hash_value
+
+    def __hash__(self):
+        return self.hash_value
+
+    def __eq__(self, other):
+        return isinstance(other, _Fixed) and other.name == self.name
+
+    def __repr__(self):
+        return f"_Fixed({self.name!r}, {self.hash_value})"
+
+
+def _shape(node):
+    """Node-for-node description of a trie: bitmaps, child order, leaves
+    (hash, key, value) and collision buckets (hash, pairs in order)."""
+    if isinstance(node, _Node):
+        return ("node", node.bitmap, [_shape(child) for child in node.children])
+    if isinstance(node, _Leaf):
+        return ("leaf", node.hash, node.key, node.value)
+    if isinstance(node, _Collision):
+        return ("collision", node.hash, node.pairs)
+    assert node is None
+    return None
+
+
+def _by_sets(mapping):
+    out = PMap()
+    for key, value in mapping.items():
+        out = out.set(key, value)
+    return out
+
+
+class TestFromDict:
+    """The one-pass build equals successive ``set`` calls, node for node."""
+
+    def assert_same_trie(self, mapping):
+        built, reference = PMap.from_dict(mapping), _by_sets(mapping)
+        assert len(built) == len(reference) == len(mapping)
+        assert _shape(built._root) == _shape(reference._root)
+        assert list(built.items()) == list(reference.items())
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 33, 1000, 50_000])
+    def test_sizes(self, size):
+        self.assert_same_trie({f"key {i}": i for i in range(size)})
+
+    def test_mixed_keys_in_shuffled_order(self):
+        keys = [("ship", "name", f"v{i}") for i in range(500)]
+        keys += [("len", i) for i in range(500)] + list(range(-300, 300))
+        random.Random(3).shuffle(keys)
+        self.assert_same_trie({key: str(key) for key in keys})
+
+    def test_hashes_sharing_many_low_bits(self):
+        # Low 25 bits equal: five levels of one-child branches above the
+        # level where the keys finally part.
+        self.assert_same_trie({i << 25: i for i in range(128)})
+        self.assert_same_trie({(i << 20) | 0x5A5A: i for i in range(4096)})
+
+    def test_masked_hash_collisions(self):
+        # Distinct Python hashes that agree in the 32 bits the trie uses.
+        mapping = {(i << 32) | 7: i for i in range(6)}
+        mapping.update({(i << 32) | 9: -i for i in range(3)})
+        self.assert_same_trie(mapping)
+        assert isinstance(PMap.from_dict(mapping)._root, _Node)
+
+    def test_full_hash_collisions(self):
+        colliders = {_Fixed(name, 42): name for name in "abcde"}
+        self.assert_same_trie(colliders)
+        root = PMap.from_dict(colliders)._root
+        assert isinstance(root, _Collision)
+        assert [key.name for key, _ in root.pairs] == list("abcde")
+
+    @pytest.mark.parametrize("third_at", [0, 1, 2])
+    def test_collision_pair_under_a_third_key(self, third_at):
+        # Two keys share hash 42; a third agrees with it in the low 20
+        # bits, so the pair's bucket and the third key's leaf part only
+        # deep in the trie — whichever order the keys come in.
+        keys = [_Fixed("a", 42), _Fixed("b", 42)]
+        keys.insert(third_at, _Fixed("c", 42 | (1 << 20)))
+        mapping = {key: key.name for key in keys}
+        self.assert_same_trie(mapping)
+        node = PMap.from_dict(mapping)._root
+        depth = 0
+        while isinstance(node, _Node) and len(node.children) == 1:
+            node, depth = node.children[0], depth + 1
+        assert depth == 4
+        kinds = sorted(type(child).__name__ for child in node.children)
+        assert kinds == ["_Collision", "_Leaf"]
+
+    def test_result_supports_functional_updates(self):
+        built = PMap.from_dict({f"k{i}": i for i in range(300)})
+        updated = built.set("k5", -5).delete("k7").set("new", 1)
+        assert updated["k5"] == -5 and "k7" not in updated and updated["new"] == 1
+        assert built["k5"] == 5 and built["k7"] == 7 and len(built) == 300
+        assert PMap.from_dict({}) is PMap.from_dict({})
 
 
 def _sample_index() -> ValueIndex:

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.errors import IntegrityError, SchemaError
+from repro.errors import IntegrityError, PlanError, SchemaError
 from repro.sqlengine import Database, Engine
 from repro.sqlengine.csvio import dump_csv, load_csv
 
@@ -134,6 +134,40 @@ class TestInsertDeleteUpdate:
             fresh.execute("UPDATE t SET id = 9 WHERE id IN (2, 3)")
         assert fresh.execute("SELECT id, v, tag FROM t").rows == before
 
+    def test_failed_multi_row_insert_leaves_table_untouched(self, fresh):
+        # Regression: rows before the failing one used to stay behind,
+        # although the failed statement never reached the WAL.
+        self.setup_t(fresh)
+        fresh.execute(
+            "CREATE TABLE note (id INT PRIMARY KEY, "
+            "tid INT REFERENCES t(id), body TEXT NOT NULL)"
+        )
+        fresh.execute("INSERT INTO note VALUES (1, 1, 'first')")
+        db = fresh.database
+
+        def state():
+            return {
+                name: (list(db.table(name).rows_with_ids()), db.table(name).version)
+                for name in ("t", "note")
+            }
+
+        before = state()
+        failing = [
+            (IntegrityError, "INSERT INTO t VALUES (4, 40, 'b'), (1, 0, 'dup')"),
+            (IntegrityError, "INSERT INTO t VALUES (4, 40, 'b'), (4, 0, 'dup')"),
+            (IntegrityError, "INSERT INTO note VALUES (2, 2, 'ok'), (3, 42, 'x')"),
+            (IntegrityError, "INSERT INTO note VALUES (2, 2, 'ok'), (3, 3, NULL)"),
+            (PlanError, "INSERT INTO t VALUES (4, 40, 'b'), (5, 50)"),
+            (PlanError, "INSERT INTO t (id, v) VALUES (4, 40), (5, 50, 'x')"),
+        ]
+        for error, sql in failing:
+            with pytest.raises(error):
+                fresh.execute(sql)
+            assert state() == before, sql
+        # The same rows go in once the batch is valid.
+        fresh.execute("INSERT INTO note VALUES (2, 2, 'ok'), (3, 3, 'fine')")
+        assert len(db.table("note")) == 3
+
     def test_update_pk_chain_shift(self, fresh):
         # id = id + 1 transiently collides row-by-row; the two-phase batch
         # apply must land on the valid final state.
@@ -218,6 +252,19 @@ class TestUpdateForeignKeys:
         assert sorted(fresh.execute("SELECT id, manager_id FROM emp").rows) == [
             (101, 101), (102, 101),
         ]
+        assert not fresh.database.check_integrity()
+
+    def test_self_referencing_insert_batch_sees_earlier_rows_only(self, fresh):
+        # A multi-row INSERT is checked as if its rows went in one at a
+        # time: a row may name itself or an earlier row as its parent,
+        # never a later one.
+        fresh.execute(
+            "CREATE TABLE emp (id INT PRIMARY KEY, manager_id INT REFERENCES emp(id))"
+        )
+        with pytest.raises(IntegrityError, match="emp.manager_id=2 has no match"):
+            fresh.execute("INSERT INTO emp VALUES (1, 2), (2, 2)")
+        assert len(fresh.database.table("emp")) == 0
+        fresh.execute("INSERT INTO emp VALUES (2, 2), (1, 2), (3, 1)")
         assert not fresh.database.check_integrity()
 
     def test_self_referencing_strand_still_rejected(self, fresh):

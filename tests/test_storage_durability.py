@@ -23,7 +23,7 @@ import json
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import IntegrityError, StorageError
 from repro.sqlengine import Database, Engine
 from repro.storage import (
     StorageManager,
@@ -286,6 +286,23 @@ class TestRecovery:
         manager = _manager(fresh, tmp_path)
         assert _rows(fresh) == expected
         manager.close()
+
+    def test_failed_multi_row_insert_matches_after_reopen(self, tmp_path):
+        # Regression: a multi-row INSERT failing on a later row kept its
+        # earlier rows in memory, but the failed statement never reached
+        # the WAL, so the reopened database lost them.
+        engine = _engine()
+        manager = _manager(engine, tmp_path)
+        engine.execute("INSERT INTO items VALUES (10, 'ten', 100)")
+        with pytest.raises(IntegrityError):
+            engine.execute("INSERT INTO items VALUES (20, 'b', 1), (1, 'dup', 2)")
+        manager.close(checkpoint=False)
+        fresh = Engine(Database())
+        manager2 = _manager(fresh, tmp_path)
+        assert manager2.last_recovery.replayed == 1
+        assert _rows(fresh) == _rows(engine)
+        assert (20, "b", 1) not in _rows(fresh)
+        manager2.close()
 
 
 class TestCadenceAndLifecycle:
