@@ -11,7 +11,7 @@ Two series over the same 10k-row ship table:
 * ``rebuild`` — the old behaviour, emulated by forcing a full language-
   layer rebuild after each write (``refresh(full=True)``);
 * ``delta`` — the incremental path: the write's row-level delta patches
-  the value index in place.
+  an O(1) clone of the value index.
 
 Acceptance: the delta path is >= 5x faster per interleaved round, never
 performs a full rebuild, and a write to one table provably leaves another

@@ -1,4 +1,4 @@
-"""F6 — service layer: batch `ask_many` and read-write lock scaling.
+"""F6 — service layer: batch `ask_many` and concurrent snapshot readers.
 
 Two claims of the service-API redesign, measured:
 
@@ -11,13 +11,9 @@ Two claims of the service-API redesign, measured:
   is >= 2x faster than the same questions asked one-by-one with a write
   before each (same total writes, same total questions).
 
-* **Concurrent readers scale vs a single global lock.**  Readers holding
-  the service's RW lock overlap (max_concurrent_readers > 1, asserted on
-  real ``ask()`` traffic), and for lock-bound work the wall-clock win is
-  direct: N sleepers under the RW read lock finish ~concurrently where an
-  exclusive lock serializes them.  Acceptance: RW wall time is at least
-  2x better than the exclusive-lock baseline, and an exclusive lock never
-  shows reader overlap.
+* **Concurrent readers overlap.**  Snapshot readers take no lock, so
+  real ``ask()`` traffic from several threads shows
+  ``max_concurrent_readers > 1`` in the service's ``lock_stats``.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ import time
 from repro.core import NaturalLanguageInterface
 from repro.datasets import fleet
 from repro.evalkit import format_table
-from repro.service import NliService, RwLock
+from repro.service import NliService
 
 from benchmarks.conftest import emit
 
@@ -41,7 +37,6 @@ DISTINCT_QUESTIONS = [
 ]
 REPEATS = 8  # batch = 4 distinct questions x 8 repeats = 32 questions
 READER_THREADS = 4
-SLEEP_S = 0.02
 
 
 def _questions() -> list[str]:
@@ -137,54 +132,3 @@ def test_f6_concurrent_readers_overlap():
     for thread in threads:
         thread.join()
     assert service.lock_stats["max_concurrent_readers"] > 1, service.lock_stats
-
-
-def test_f6_rw_lock_scales_vs_exclusive():
-    """Lock-bound readers: RW overlaps, one global mutex serializes."""
-
-    def rw_workload() -> float:
-        lock = RwLock()
-        barrier = threading.Barrier(READER_THREADS)
-
-        def reader() -> None:
-            barrier.wait()
-            with lock.read_locked():
-                time.sleep(SLEEP_S)
-
-        return _run_threads(reader)
-
-    def exclusive_workload() -> float:
-        lock = threading.Lock()
-        barrier = threading.Barrier(READER_THREADS)
-
-        def reader() -> None:
-            barrier.wait()
-            with lock:
-                time.sleep(SLEEP_S)
-
-        return _run_threads(reader)
-
-    rw_ms = rw_workload()
-    exclusive_ms = exclusive_workload()
-    emit("F6-LOCK", format_table(
-        ["lock", f"wall ms ({READER_THREADS} readers x {SLEEP_S * 1000:.0f}ms)"],
-        [
-            ["read-write (service)", f"{rw_ms:.1f}"],
-            ["single global mutex", f"{exclusive_ms:.1f}"],
-            ["speedup", f"{exclusive_ms / rw_ms:.1f}x"],
-        ],
-        title="F6: reader scaling, RW lock vs global mutex",
-    ))
-    assert rw_ms * 2 <= exclusive_ms, (
-        f"rw={rw_ms:.1f}ms exclusive={exclusive_ms:.1f}ms"
-    )
-
-
-def _run_threads(target) -> float:
-    threads = [threading.Thread(target=target) for _ in range(READER_THREADS)]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return (time.perf_counter() - start) * 1000.0

@@ -9,7 +9,9 @@ from dataclasses import dataclass
 class NliConfig:
     """Knobs for the NL pipeline.
 
-    Every field maps to an ablation documented in DESIGN.md:
+    The first four fields are the ablation knobs; the configurations in
+    ``docs/evaluation.md`` ("Configurations") name the ones the accuracy
+    matrix runs (``nli-corrupt-nospell`` is A1 as a standing row):
 
     * ``spelling_correction`` — A1 (figure F3)
     * ``synonym_fraction`` — A2 (figure F2)
@@ -65,16 +67,6 @@ class NliConfig:
     max_pending_deltas: int = 10_000
 
     # -- service / server knobs ---------------------------------------------
-    #: MVCC snapshot reads (the default).  Every ``NliService`` question
-    #: pins an immutable database snapshot + language-layer bundle and
-    #: runs lock-free against them, so readers never queue behind a bulk
-    #: DML writer and never observe a torn statement; the service's RW
-    #: lock shrinks to guarding the write/refresh commit point, where the
-    #: writer itself absorbs its deltas before releasing.  Set False to
-    #: restore the PR-3 behaviour (readers hold the RW read lock for the
-    #: whole question; writers exclude them) — kept as the comparison
-    #: baseline for ``benchmarks/bench_f8_mvcc.py``.
-    mvcc_reads: bool = True
     #: Sustained questions-per-second allowed per rate-limit key (a session
     #: id, or whatever client key the HTTP layer passes).  ``None`` (the
     #: default) disables rate limiting entirely; the token bucket refills
@@ -87,8 +79,8 @@ class NliConfig:
     #: applies.
     rate_limit_burst: int = 8
     #: Worker threads behind the async face (``ask_async`` and friends).
-    #: This bounds how many questions make progress concurrently under the
-    #: service's read lock; HTTP requests beyond it queue in the executor.
+    #: This bounds how many questions make progress concurrently; HTTP
+    #: requests beyond it queue in the executor.
     service_workers: int = 8
     #: Bound on id-managed sessions held by the service.  Session ids are
     #: client-chosen over HTTP, so without a cap any client could grow

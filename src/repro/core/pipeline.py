@@ -169,15 +169,8 @@ class NaturalLanguageInterface:
         self._pending_deltas: list[TableDelta] = []
         #: When False, questions never refresh implicitly: the owner (the
         #: thread-safe NliService) performs explicit refreshes under its
-        #: write lock instead, so concurrent readers cannot race a rebuild.
+        #: commit lock instead, so concurrent readers cannot race a rebuild.
         self.auto_refresh = True
-        #: When True (set by an MVCC-mode NliService), a delta refresh
-        #: patches a *clone* of the value index and publishes a fresh
-        #: LanguageLayers bundle instead of mutating the live one — so
-        #: concurrent readers pinned to the old bundle never observe a
-        #: half-applied delta.  Single-threaded pipelines keep the cheaper
-        #: in-place patching.
-        self.copy_on_refresh = False
         #: Refresh accounting, asserted by tests and benchmarks: the
         #: interleaved-DML story is "delta_refreshes go up, full_rebuilds
         #: do not".  Read through the :attr:`stats` property.
@@ -214,10 +207,6 @@ class NaturalLanguageInterface:
             if self.config.use_value_index
             else None
         )
-        if value_index is not None and self.copy_on_refresh:
-            # Publish-mode owners need O(1) clones: persistent maps make a
-            # rebuilt index publishable without ever deep-copying again.
-            value_index.to_persistent()
         previous: LanguageLayers | None = getattr(self, "_layers", None)
         self._layers = LanguageLayers(
             epoch=previous.epoch + 1 if previous is not None else 0,
@@ -273,20 +262,6 @@ class NaturalLanguageInterface:
         """Database mutation callback: buffer the delta for the next ask."""
         self._pending_deltas.append(delta)
 
-    def enable_copy_on_refresh(self) -> None:
-        """Switch delta refreshes to publish mode (clone, patch, swap).
-
-        Also converts the live value index to persistent maps, so each
-        publish clones in O(1) and patches with structurally-shared
-        updates — the whole refresh is O(changed values), not O(index).
-        Call before concurrent readers start (the conversion itself
-        mutates the live index's storage representation).
-        """
-        self.copy_on_refresh = True
-        value_index = self._layers.value_index
-        if value_index is not None:
-            value_index.to_persistent()
-
     def refresh(self, *, full: bool = False) -> None:
         """Bring the language layers up to date after DML/DDL.
 
@@ -333,12 +308,10 @@ class NaturalLanguageInterface:
             )
         value_index = layers.value_index
         if value_index is not None:
-            if self.copy_on_refresh:
-                # Publish mode: patch a clone so concurrent readers pinned
-                # to the old bundle never see a half-applied delta.  With
-                # persistent maps (enable_copy_on_refresh) the clone is
-                # O(1) and the patches share all untouched structure.
-                value_index = value_index.clone()
+            # Patch an O(1) clone so concurrent readers pinned to the old
+            # bundle never see a half-applied delta; the patches share all
+            # untouched structure with it.
+            value_index = value_index.clone()
             for delta in deltas:
                 value_index.apply_delta(delta)
         lexicon = layers.lexicon
@@ -639,8 +612,8 @@ class NaturalLanguageInterface:
         the engine's materialized results.
         """
         # Honour auto_refresh: when an NliService owns this pipeline, the
-        # service performs refreshes under its write lock — refreshing
-        # here would mutate the language layers under a read lock.
+        # service performs refreshes under its commit lock — a reader
+        # refreshing here would race the writer's publish.
         self._ensure_fresh()
         previous, self.auto_refresh = self.auto_refresh, False
         layers, snapshot = self._pin()

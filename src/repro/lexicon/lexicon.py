@@ -26,7 +26,10 @@ class Lexicon:
     def __init__(self) -> None:
         self._entries: dict[tuple[str, ...], list[LexicalEntry]] = {}
         self._max_len = 1
-        self._vocabulary = SpellingCorrector()
+        #: Spelling vocabulary as word -> weight; the corrector over it is
+        #: built in one pass on first use, and any add() drops it.
+        self._word_counts: dict[str, int] = {}
+        self._corrector: SpellingCorrector | None = None
 
     def add(self, phrase: str, category: Category, payload, weight: float = 1.0) -> LexicalEntry:
         key = phrase_key(phrase)
@@ -39,12 +42,22 @@ class Lexicon:
         ):
             bucket.append(entry)
         self._max_len = max(self._max_len, len(key))
+        counts = self._word_counts
         for word in phrase.lower().replace("_", " ").split():
-            self._vocabulary.add_word(word)
             # Plural forms let the spelling corrector fix "shps" -> "ships";
             # the stemmer folds the corrected plural back onto this entry.
-            self._vocabulary.add_word(pluralize(word))
+            for form in (word, pluralize(word)):
+                counts[form] = counts.get(form, 0) + 1
+        self._corrector = None
         return entry
+
+    def _vocabulary(self) -> SpellingCorrector:
+        # Concurrent first readers may each build it; the results are equal.
+        corrector = self._corrector
+        if corrector is None:
+            corrector = SpellingCorrector.from_counts(self._word_counts)
+            self._corrector = corrector
+        return corrector
 
     # -- lookup -----------------------------------------------------------------
 
@@ -78,11 +91,11 @@ class Lexicon:
         return out
 
     def knows_word(self, word: str) -> bool:
-        return word.lower() in self._vocabulary
+        return word.lower() in self._vocabulary()
 
     def correct_word(self, word: str) -> str | None:
         """Spelling-correct a word against the lexicon vocabulary."""
-        correction = self._vocabulary.correct(word)
+        correction = self._vocabulary().correct(word)
         if correction is None or correction.distance == 0:
             return None
         return correction.corrected

@@ -9,11 +9,11 @@ tie-break.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Iterable, Mapping
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (valueindex → nlp)
-    from repro.valueindex.pmap import PMap
+from repro.pmap import PMap
 
 
 def damerau_levenshtein(a: str, b: str, cap: int | None = None) -> int:
@@ -86,38 +86,47 @@ class SpellingCorrector:
     Vocabulary entries carry an integer weight (e.g. frequency in the
     database); among equal-distance candidates the highest weight wins, and
     ties break alphabetically for determinism.
+
+    Both maps are structurally-shared :class:`~repro.pmap.PMap` instances
+    (length buckets are tuples): every mutation replaces a map reference,
+    so :meth:`clone` is O(1) and neither side ever sees the other's later
+    mutations.
     """
 
     def __init__(self) -> None:
-        self._vocabulary: dict[str, int] | PMap = {}
-        self._by_length: dict[int, list[str]] | PMap = {}
-        #: Persistent mode: the two maps are structurally-shared PMaps
-        #: (buckets become tuples), every mutation replaces the map
-        #: reference, and :meth:`clone` is O(1) reference copying.
-        self._persistent = False
+        self._vocabulary = PMap()
+        self._by_length = PMap()
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[str, int]) -> SpellingCorrector:
+        """Corrector over lowercased, non-empty ``word -> weight`` items.
+
+        Built in one pass: the maps equal, node for node, those that
+        :meth:`add_word` per item in ``counts`` order would build.
+        """
+        by_length: dict[int, list[str]] = {}
+        for word in counts:
+            by_length.setdefault(len(word), []).append(word)
+        out = cls()
+        out._vocabulary = PMap.from_dict(counts)
+        out._by_length = PMap.from_dict(
+            {length: tuple(words) for length, words in by_length.items()}
+        )
+        return out
 
     def add_word(self, word: str, weight: int = 1) -> None:
         lowered = word.lower()
         if not lowered:
             return
-        if self._persistent:
-            remaining = self._vocabulary.get(lowered)
-            if remaining is None:
-                bucket = self._by_length.get(len(lowered), ())
-                self._by_length = self._by_length.set(
-                    len(lowered), bucket + (lowered,)
-                )
-                self._vocabulary = self._vocabulary.set(lowered, weight)
-            else:
-                self._vocabulary = self._vocabulary.set(lowered, remaining + weight)
-            return
-        if lowered not in self._vocabulary:
-            self._by_length.setdefault(len(lowered), []).append(lowered)
-            self._vocabulary[lowered] = weight
+        remaining = self._vocabulary.get(lowered)
+        if remaining is None:
+            bucket = self._by_length.get(len(lowered), ())
+            self._by_length = self._by_length.set(len(lowered), bucket + (lowered,))
+            self._vocabulary = self._vocabulary.set(lowered, weight)
         else:
-            self._vocabulary[lowered] += weight
+            self._vocabulary = self._vocabulary.set(lowered, remaining + weight)
 
-    def add_words(self, words, weight: int = 1) -> None:
+    def add_words(self, words: Iterable[str], weight: int = 1) -> None:
         for word in words:
             self.add_word(word, weight)
 
@@ -132,64 +141,23 @@ class SpellingCorrector:
         remaining = self._vocabulary.get(lowered)
         if remaining is None:
             return
-        if self._persistent:
-            if remaining > weight:
-                self._vocabulary = self._vocabulary.set(lowered, remaining - weight)
-                return
-            self._vocabulary = self._vocabulary.delete(lowered)
-            bucket = tuple(
-                w for w in self._by_length.get(len(lowered), ()) if w != lowered
-            )
-            if bucket:
-                self._by_length = self._by_length.set(len(lowered), bucket)
-            else:
-                self._by_length = self._by_length.delete(len(lowered))
-            return
         if remaining > weight:
-            self._vocabulary[lowered] = remaining - weight
+            self._vocabulary = self._vocabulary.set(lowered, remaining - weight)
             return
-        del self._vocabulary[lowered]
-        bucket = self._by_length.get(len(lowered), [])
-        try:
-            bucket.remove(lowered)
-        except ValueError:  # pragma: no cover - maps kept in lockstep
-            pass
-        if not bucket:
-            self._by_length.pop(len(lowered), None)
-
-    def to_persistent(self) -> None:
-        """Switch to persistent maps (in place); a no-op when already there.
-
-        After conversion every mutation builds a new structurally-shared
-        map, so clones share all untouched nodes with their source.
-        """
-        if self._persistent:
-            return
-        from repro.valueindex.pmap import PMap
-
-        self._vocabulary = PMap.from_dict(self._vocabulary)
-        self._by_length = PMap.from_dict(
-            {length: tuple(words) for length, words in self._by_length.items()}
-        )
-        self._persistent = True
+        self._vocabulary = self._vocabulary.delete(lowered)
+        bucket = tuple(w for w in self._by_length.get(len(lowered), ()) if w != lowered)
+        if bucket:
+            self._by_length = self._by_length.set(len(lowered), bucket)
+        else:
+            self._by_length = self._by_length.delete(len(lowered))
 
     def clone(self) -> SpellingCorrector:
         """Independent copy of the vocabulary (weights included), used by
         copy-on-write publishers that patch a clone instead of mutating a
-        corrector other threads are reading.  In persistent mode this is
-        O(1): the clone aliases the current maps, and either side's next
-        mutation replaces its own reference without touching the other."""
-        out = SpellingCorrector()
-        if self._persistent:
-            out._vocabulary = self._vocabulary
-            out._by_length = self._by_length
-            out._persistent = True
-            return out
-        out._vocabulary = dict(self._vocabulary)
-        out._by_length = {
-            length: list(words) for length, words in self._by_length.items()
-        }
-        return out
+        corrector other threads are reading.  O(1): the clone aliases the
+        current maps, and either side's next mutation replaces its own
+        reference without touching the other."""
+        return copy.copy(self)
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self._vocabulary
@@ -210,7 +178,7 @@ class SpellingCorrector:
             return None
         best: tuple[int, int, str] | None = None  # (distance, -weight, word)
         for length in range(len(lowered) - budget, len(lowered) + budget + 1):
-            for candidate in self._by_length.get(length, []):
+            for candidate in self._by_length.get(length, ()):
                 distance = damerau_levenshtein(lowered, candidate, cap=budget)
                 if distance > budget:
                     continue

@@ -6,13 +6,16 @@ return a *new* map that shares all unchanged structure with the old one
 single-key update copies O(log32 n) small nodes and leaves everything
 else aliased.
 
-This is what makes the MVCC publish path cheap: a value index whose
-phrase/occurrence tables are PMaps can hand concurrent readers its
-current maps *by reference* — cloning is O(1) attribute copying — and
-apply a delta as functional updates that can never be observed
-half-applied, because the reader's references still point at the old
-root nodes.  The previous publish mode deep-copied every dict per
-refresh (O(indexed values) per write round-trip).
+This is what makes the MVCC publish path cheap: the value index and the
+spelling vocabularies keep their tables in PMaps, so they can hand
+concurrent readers their current maps *by reference* — cloning is O(1)
+attribute copying — and apply a delta as functional updates that can
+never be observed half-applied, because the reader's references still
+point at the old root nodes.
+
+The module sits at the package root because both ``repro.nlp`` and
+``repro.valueindex`` build on it, and ``repro.valueindex`` imports
+``repro.nlp``.
 
 Pure Python, no dependencies.  Keys must be hashable; full-hash
 collisions fall back to small collision buckets.

@@ -18,7 +18,6 @@ See ``docs/api.md`` for the envelope reference and the migration guide
 from the exception-based API.
 """
 
-from repro.service.locks import RwLock
 from repro.service.persistence import SessionLog
 from repro.service.ratelimit import RateLimiter, TokenBucket
 from repro.service.response import (
@@ -34,7 +33,6 @@ __all__ = [
     "NliService",
     "RateLimiter",
     "Response",
-    "RwLock",
     "SessionLog",
     "Status",
     "Subscription",

@@ -1,33 +1,27 @@
 """NliService: the thread-safe, multi-session facade over the pipeline.
 
 The raw :class:`~repro.core.pipeline.NaturalLanguageInterface` is a
-single-caller object: a lazily-triggered ``refresh()`` rebuilds the
-language layers in place, so concurrent ``ask()`` threads would race the
-rebuild.  The service closes that hole with **MVCC snapshot reads**
-(``config.mvcc_reads``, the default):
+single-caller object: each ``ask()`` may trigger a lazy ``refresh()``, so
+concurrent ``ask()`` threads would race each other's refreshes.  The
+service closes that hole with **MVCC snapshot reads**:
 
 * ``ask`` / ``ask_many`` / ``resolve`` pin an immutable database snapshot
   plus the current language-layer bundle and run **lock-free** — readers
   never queue behind a writer, never observe a half-applied statement,
   and a reader pinned before a commit keeps seeing the pre-commit rows;
-* ``refresh`` and DML/DDL through :meth:`execute` serialize on the
-  :class:`~repro.service.locks.RwLock` write side — now only a **commit
-  point**: the writer mutates (copy-on-write detaches any pinned
-  snapshots), absorbs its own deltas, and publishes a fresh layer bundle
-  before releasing.  The only read-side wait left is the out-of-band
-  fallback below.
+* ``refresh`` and DML/DDL through :meth:`execute` serialize on one
+  plain lock, the **commit point**: the writer mutates (copy-on-write
+  detaches any pinned snapshots), absorbs its own deltas, and publishes
+  a fresh layer bundle before releasing.  The only read-side wait left
+  is the out-of-band fallback below.
 
-With ``mvcc_reads=False`` the service reverts to the PR-3 discipline —
-readers hold the RW **read** lock for the whole question and writers get
-exclusivity — kept as the measured baseline for
-``benchmarks/bench_f8_mvcc.py``.  See ``docs/concurrency.md`` for the
-full model.
+See ``docs/concurrency.md`` for the full model.
 
 Implicit refresh is disabled on the wrapped pipeline
 (``nli.auto_refresh = False``); the write path absorbs its own deltas at
 the commit point.  Deltas from *out-of-band* writes (direct ``Database``
 mutation behind the service's back) are absorbed by the next read entry
-point under the write lock — the one case where a reader may wait, and
+point under the commit lock — the one case where a reader may wait, and
 never longer than that single commit.
 
 Sessions: :meth:`open_session` issues ids for conversation state kept on
@@ -38,13 +32,13 @@ the HTTP layer uses — a stateless client just sends ``"session":
 :class:`~repro.core.dialogue.Session` objects (those are not durable and
 not rate-limit keyed, since the service never sees an id for them).
 
-Three service-grade facilities ride on top of the lock:
+Service-grade facilities ride on top:
 
 * **async face** — :meth:`ask_async` / :meth:`ask_many_async` /
   :meth:`resolve_async` / :meth:`execute_async` run the blocking call on
   a bounded worker pool (``config.service_workers`` threads), so an
-  asyncio front end gets real reader parallelism under the RW lock
-  without blocking its event loop;
+  asyncio front end gets real reader parallelism without blocking its
+  event loop;
 * **rate limiting** — a per-key token bucket
   (:class:`~repro.service.ratelimit.RateLimiter`, enabled by
   ``config.rate_limit_qps``) charges one token per question (a batch
@@ -62,10 +56,10 @@ Three service-grade facilities ride on top of the lock:
   snapshot checkpoints bound recovery replay, and a restarted service
   recovers to the last committed statement.  ``BEGIN`` / ``COMMIT`` /
   ``ROLLBACK`` through :meth:`execute` open a multi-statement
-  transaction: the writer holds the commit-point write lock across
-  statements while concurrent readers keep answering lock-free from the
-  pinned pre-transaction overlay snapshot, and ROLLBACK restores rows,
-  indexes and statistics as if the transaction never ran.
+  transaction: the writer holds the commit lock across statements while
+  concurrent readers keep answering lock-free from the pinned
+  pre-transaction overlay snapshot, and ROLLBACK restores rows, indexes
+  and statistics as if the transaction never ran.
 """
 
 from __future__ import annotations
@@ -82,7 +76,6 @@ from repro.core.dialogue import Session
 from repro.core.pipeline import CLARIFICATION_CAPACITY, NaturalLanguageInterface
 from repro.errors import ClarificationError
 from repro.lexicon.domain import DomainModel
-from repro.service.locks import RwLock
 from repro.service.persistence import SessionLog, replay_records
 from repro.service.ratelimit import RateLimiter
 from repro.service.response import Response, Status
@@ -117,19 +110,18 @@ class NliService:
         self._nli = nli or NaturalLanguageInterface(
             database, domain=domain, config=config
         )
-        # The service owns freshness: implicit refresh under a read lock
-        # would mutate the language layers while other readers use them.
+        # The service owns freshness: an implicit refresh inside a reader
+        # would race the commit point's publish.
         self._nli.auto_refresh = False
-        self._lock = RwLock()
-        #: MVCC snapshot reads (default): readers pin snapshots instead of
-        #: holding the read lock, and refreshes publish cloned layers so
-        #: in-flight readers keep a consistent bundle.
-        self._mvcc = self._nli.config.mvcc_reads
-        if self._mvcc:
-            self._nli.enable_copy_on_refresh()
-        #: Reader-overlap gauge for the MVCC path: the RW lock no longer
-        #: sees readers, so concurrency is observed here and merged into
-        #: :attr:`lock_stats` (same keys the F6 benchmark asserts on).
+        #: The commit point: writers and refreshes serialize here while
+        #: readers pin snapshots and never take it.  A plain lock is not
+        #: thread-affine, so a transaction's COMMIT may release it on a
+        #: different worker thread than the BEGIN that took it.
+        self._commit_lock = threading.Lock()
+        self._write_acquires = 0  # guarded by _commit_lock
+        #: Reader-overlap gauge: readers take no lock, so concurrency is
+        #: observed here and reported in :attr:`lock_stats` (the keys the
+        #: F6 benchmark asserts on).
         self._reader_gauge_lock = threading.Lock()
         self._readers_active = 0
         self._reader_stats = {"read_acquires": 0, "max_concurrent_readers": 0}
@@ -150,9 +142,8 @@ class NliService:
         )
         #: Transaction gate: serializes BEGIN/COMMIT/ROLLBACK control (and
         #: statements joining an open transaction) so exactly one client
-        #: transaction exists at a time.  The RW write lock itself is held
-        #: from BEGIN to COMMIT/ROLLBACK — it is not thread-affine, so the
-        #: commit may arrive on a different worker thread than the BEGIN.
+        #: transaction exists at a time.  The commit lock itself is held
+        #: from BEGIN to COMMIT/ROLLBACK.
         self._txn_gate = threading.Lock()
         self._txn_open = False
         self._storage: StorageManager | None = None
@@ -171,7 +162,7 @@ class NliService:
             self._storage.attach()
         # Publish language layers atomically with COMMIT/ROLLBACK: the
         # hook runs inside the transaction's closing statement scope,
-        # while the service still holds the write lock taken at BEGIN.
+        # while the service still holds the commit lock taken at BEGIN.
         self._nli.engine.transactions.commit_hook = self._publish_txn
         # Standing subscriptions: the registry buffers the *table names*
         # of row deltas; commit points hand it the touched set, and only
@@ -310,15 +301,10 @@ class NliService:
     def _read_access(self) -> Iterator[None]:
         """Scope of one read-side entry point.
 
-        MVCC mode: no lock at all — the pipeline pins its own snapshot +
-        layer bundle — but reader overlap is still counted so the
-        ``max_concurrent_readers`` observable survives the lock's demotion
-        to a commit point.  Legacy mode: the RW read lock, as before.
+        No lock at all — the pipeline pins its own snapshot + layer
+        bundle — but reader overlap is counted for the
+        ``max_concurrent_readers`` observable.
         """
-        if not self._mvcc:
-            with self._lock.read_locked():
-                yield
-            return
         with self._reader_gauge_lock:
             self._readers_active += 1
             self._reader_stats["read_acquires"] += 1
@@ -332,24 +318,36 @@ class NliService:
 
     # -- freshness ---------------------------------------------------------
 
+    def _acquire_commit(self) -> None:
+        self._commit_lock.acquire()
+        self._write_acquires += 1
+
+    @contextmanager
+    def _committing(self) -> Iterator[None]:
+        """Hold the commit lock for one write or refresh."""
+        self._acquire_commit()
+        try:
+            yield
+        finally:
+            self._commit_lock.release()
+
     def _absorb_writes(self) -> None:
-        """Apply pending DML deltas under the write lock (if any).
+        """Apply pending DML deltas under the commit lock (if any).
 
         The cheap check runs lock-free; the refresh re-checks under the
-        write lock, so two racing readers cannot double-refresh and a
-        reader never mutates the layers while others read them.  In MVCC
-        mode writers absorb their own deltas at the commit point, so this
-        fires only for out-of-band database mutations — the single case
-        where a reader may wait on a writer, for at most one commit.
+        commit lock, so two racing readers cannot double-refresh.  Writers
+        absorb their own deltas at the commit point, so this fires only
+        for out-of-band database mutations — the single case where a
+        reader may wait on a writer, for at most one commit.
         """
         if self._txn_open:
-            # An open transaction holds the write lock; its deltas publish
+            # An open transaction holds the commit lock; its deltas publish
             # at COMMIT/ROLLBACK (the commit hook), and readers meanwhile
             # pair the pre-transaction overlay snapshot with the current —
             # pre-transaction — language layers.
             return
         if self._nli.needs_refresh():
-            with self._lock.write_locked():
+            with self._committing():
                 self._nli.refresh_if_needed()
             # Out-of-band mutations are committed data too: give standing
             # subscriptions their (buffered) touched tables.
@@ -359,12 +357,12 @@ class NliService:
         """Engine commit hook: absorb the transaction's (or rollback's)
         deltas and publish fresh language layers *inside* the closing
         statement scope, so no reader can pin the committed data with the
-        pre-commit layers.  Runs under the write lock held since BEGIN."""
+        pre-commit layers.  Runs under the commit lock held since BEGIN."""
         self._nli.refresh_if_needed()
 
     def refresh(self, full: bool = False) -> None:
         """Explicitly rebuild/patch the language layers (exclusive)."""
-        with self._lock.write_locked():
+        with self._committing():
             self._nli.refresh(full=full)
 
     # -- rate limiting -----------------------------------------------------
@@ -410,7 +408,7 @@ class NliService:
         clarify: bool = False,
         client: str | None = None,
     ) -> list[Response]:
-        """Answer a batch under one read-lock hold and one freshness pass.
+        """Answer a batch against one pinned snapshot and one freshness pass.
 
         The batch charges ``len(questions)`` rate-limit tokens up front
         (capped at the burst capacity — an oversized batch drains the
@@ -542,7 +540,7 @@ class NliService:
         client: str | None = None,
     ) -> Response:
         """:meth:`ask` on the worker pool — concurrent awaiters become
-        concurrent readers under the RW lock."""
+        concurrent snapshot readers."""
         return await self._run(
             partial(
                 self.ask,
@@ -738,16 +736,15 @@ class NliService:
     def execute(self, sql: str) -> ResultSet:
         """Run raw SQL.
 
-        Reads: a SELECT runs lock-free against a pinned snapshot in MVCC
-        mode (the read lock in legacy mode); EXPLAIN pins its own snapshot
-        inside the engine, so it is just as lock-free — it never queues
-        behind a bulk writer.  Autocommit writes (DML/DDL) serialize on
-        the write lock — the commit point — and in MVCC mode absorb their
-        own deltas before releasing, so readers always find
-        published-fresh language layers and never wait.
+        Reads: a SELECT runs lock-free against a pinned snapshot; EXPLAIN
+        pins its own snapshot inside the engine, so it is just as
+        lock-free — it never queues behind a bulk writer.  Autocommit
+        writes (DML/DDL) serialize on the commit lock and absorb their own
+        deltas before releasing, so readers always find published-fresh
+        language layers and never wait.
 
         ``BEGIN`` / ``COMMIT`` / ``ROLLBACK`` open a multi-statement
-        transaction scope: BEGIN acquires the write lock and *holds* it
+        transaction scope: BEGIN acquires the commit lock and *holds* it
         until the closing statement, while concurrent readers keep
         answering lock-free from the pinned pre-transaction overlay
         snapshot.  Statements between BEGIN and COMMIT join the open
@@ -759,8 +756,6 @@ class NliService:
             return self._execute_in_transaction(sql, word)
         if head.startswith("select"):
             with self._read_access():
-                if not self._mvcc:
-                    return self._nli.engine.execute(sql)
                 with self.database.snapshot() as snapshot:
                     return self._nli.engine.execute(sql, snapshot=snapshot)
         if head.startswith(_READ_ONLY_PREFIXES):
@@ -768,18 +763,14 @@ class NliService:
             # (the committed overlay during an open transaction).
             with self._read_access():
                 return self._nli.engine.execute(sql)
-        with self._lock.write_locked():
-            if not self._mvcc:
-                result = self._nli.engine.execute(sql)
-            else:
-                # Commit point: the statement and the layer publish share
-                # one database statement scope, so a reader pinning its
-                # (layers, snapshot) pair lands entirely before or
-                # entirely after this commit — never between the data
-                # change and the refreshed language layers.
-                with self.database.statement_scope():
-                    result = self._nli.engine.execute(sql)
-                    self._nli.refresh_if_needed()
+        # Commit point: the statement and the layer publish share one
+        # database statement scope, so a reader pinning its (layers,
+        # snapshot) pair lands entirely before or entirely after this
+        # commit — never between the data change and the refreshed
+        # language layers.
+        with self._committing(), self.database.statement_scope():
+            result = self._nli.engine.execute(sql)
+            self._nli.refresh_if_needed()
         # The write is visible and the lock released: wake subscriptions
         # whose stamped tables this statement touched (set intersection
         # only — an unrelated write costs an idle subscription nothing).
@@ -791,7 +782,7 @@ class NliService:
 
         The gate serializes transaction control: a second client's BEGIN
         waits here until the first transaction closes (its COMMIT releases
-        the write lock the gate-holder then acquires).  Statement errors
+        the commit lock the gate-holder then acquires).  Statement errors
         inside an open transaction leave it open — the client decides
         whether to ROLLBACK — but a failed BEGIN releases everything.
         """
@@ -802,11 +793,11 @@ class NliService:
                     # Stray COMMIT/ROLLBACK (or a race with a transaction
                     # that just closed): uniform engine TransactionError.
                     return engine.execute(sql)
-                self._lock.acquire_write()
+                self._acquire_commit()
                 try:
                     result = engine.execute(sql)
                 except BaseException:
-                    self._lock.release_write()
+                    self._commit_lock.release()
                     raise
                 self._txn_open = True
                 return result
@@ -821,7 +812,7 @@ class NliService:
                     # can still ROLLBACK.
                     if not engine.transactions.active:
                         self._txn_open = False
-                        self._lock.release_write()
+                        self._commit_lock.release()
                         # Transaction closed (committed or rolled back):
                         # notify subscriptions once, for the whole batch.
                         # A rollback that restored the old rows is pushed
@@ -851,18 +842,15 @@ class NliService:
 
     @property
     def lock_stats(self) -> dict[str, int]:
-        """RW-lock counters, with the MVCC reader gauge merged in: in MVCC
-        mode readers never touch the lock, so their acquisitions and
-        high-water overlap are counted by the service and folded into the
-        same keys the benchmarks and tests have always asserted on."""
-        out = dict(self._lock.stats)
+        """Reader entries and their high-water overlap (readers take no
+        lock; the gauge counts them), plus commit-lock acquisitions."""
         with self._reader_gauge_lock:
-            out["read_acquires"] += self._reader_stats["read_acquires"]
-            out["max_concurrent_readers"] = max(
-                out["max_concurrent_readers"],
-                self._reader_stats["max_concurrent_readers"],
-            )
-        return out
+            readers = dict(self._reader_stats)
+        return {
+            "read_acquires": readers["read_acquires"],
+            "write_acquires": self._write_acquires,
+            "max_concurrent_readers": readers["max_concurrent_readers"],
+        }
 
     @property
     def stats(self) -> dict[str, Any]:

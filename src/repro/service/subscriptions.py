@@ -182,7 +182,7 @@ class SubscriptionRegistry:
         """A commit point closed: wake the evaluator for affected subs.
 
         Called by the service *after* the write is visible (outside the
-        write lock).  The unrelated-write path is one lock, one set swap
+        commit lock).  The unrelated-write path is one lock, one set swap
         and one intersection per subscription — no plan work.
         """
         with self._pending_lock:

@@ -39,7 +39,7 @@ class TransactionManager:
     """Transaction scope + WAL routing for one engine.
 
     Thread safety: transaction control and DML are serialized above this
-    layer (the service holds its commit-point write lock from BEGIN to
+    layer (the service holds its commit lock from BEGIN to
     COMMIT/ROLLBACK), so this class only guards its interaction with the
     database's mutation lock.
     """

@@ -16,14 +16,16 @@ catalog DDL (create/drop table), which the NLI layer handles.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Any
 
 from repro.nlp.spelling import SpellingCorrector
 from repro.nlp.stemmer import stem
+from repro.pmap import PMap
 from repro.sqlengine.database import Database
 from repro.sqlengine.table import TableDelta
 from repro.sqlengine.types import SqlType
-from repro.valueindex.pmap import PMap
 
 
 @dataclass(frozen=True)
@@ -58,82 +60,74 @@ class ValueIndex:
         self.database = database
         self._max_values_per_column = max_values_per_column
         self._excluded = excluded_columns or set()
-        self._phrase_map: dict[tuple[str, ...], list[ValueHit]] | PMap = {}
-        self._stem_map: dict[tuple[str, ...], list[ValueHit]] | PMap = {}
-        self._word_vocabulary = SpellingCorrector()
-        self._max_phrase_len = 1
-        #: Persistent mode (:meth:`to_persistent`): the maps become
-        #: structurally-shared PMaps with tuple buckets, mutations replace
-        #: map references, and :meth:`clone` is O(1).
-        self._persistent = False
-        #: Live-row reference count per (table, column, value): entries are
-        #: only unindexed when the *last* row holding the value goes away.
-        self._occurrences: dict[tuple[str, str, str], int] | PMap = {}
-        #: Occurrences admitted per (table, column), for the cap.
-        self._column_seen: dict[tuple[str, str], int] | PMap = {}
+        # One pass over the TEXT columns into local dicts, admitting exactly
+        # what successive add_value calls would; each map then becomes a
+        # PMap in one from_dict build.
+        cap = max_values_per_column
+        phrase_map: dict[tuple[str, ...], Any] = {}
+        stem_map: dict[tuple[str, ...], Any] = {}
+        occurrences: dict[tuple[str, str, str], int] = {}
+        column_seen: dict[tuple[str, str], int] = {}
+        word_counts: dict[str, int] = {}
+        max_phrase_len = 1
         for table in database.tables():
             for column in table.schema.columns:
-                if column.sql_type is not SqlType.TEXT:
+                column_key = (table.name, column.name)
+                if column.sql_type is not SqlType.TEXT or column_key in self._excluded:
                     continue
-                if (table.name, column.name) in self._excluded:
-                    continue
+                seen = 0
                 for value in table.column_values(column.name):
                     if value is None:
                         continue
-                    if not self.add_value(table.name, column.name, value):
-                        break  # column hit its cap
+                    occurrence_key = (table.name, column.name, value)
+                    count = occurrences.get(occurrence_key, 0)
+                    if count == 0 and cap is not None and seen >= cap:
+                        continue  # the cap only turns away new values
+                    seen += 1
+                    occurrences[occurrence_key] = count + 1
+                    phrase = _normalise_phrase(value)
+                    for word in phrase:
+                        word_counts[word] = word_counts.get(word, 0) + 1
+                    if count or not phrase:
+                        continue
+                    hit = ValueHit(table.name, column.name, value, exact=True)
+                    phrase_map.setdefault(phrase, []).append(hit)
+                    stemmed = tuple(stem(word) for word in phrase)
+                    if stemmed != phrase:
+                        hit = ValueHit(table.name, column.name, value, exact=False)
+                        stem_map.setdefault(stemmed, []).append(hit)
+                    max_phrase_len = max(max_phrase_len, len(phrase))
+                if seen:
+                    column_seen[column_key] = seen
+        for buckets in (phrase_map, stem_map):
+            for key, hits in buckets.items():
+                buckets[key] = tuple(hits)
+        self._phrase_map = PMap.from_dict(phrase_map)
+        self._stem_map = PMap.from_dict(stem_map)
+        #: Live-row reference count per (table, column, value): entries are
+        #: only unindexed when the *last* row holding the value goes away.
+        self._occurrences = PMap.from_dict(occurrences)
+        #: Occurrences admitted per (table, column), for the cap.
+        self._column_seen = PMap.from_dict(column_seen)
+        # Vocabulary weights are per occurrence, so frequent values win
+        # spelling-correction tie-breaks; phrase entries are deduplicated.
+        self._word_vocabulary = SpellingCorrector.from_counts(word_counts)
+        self._max_phrase_len = max_phrase_len
 
     # -- incremental maintenance --------------------------------------------
-
-    def to_persistent(self) -> None:
-        """Convert to persistent (structurally-shared) maps, in place.
-
-        Done once when an owner enables publish-mode refreshes; afterwards
-        every mutation is a functional map update and :meth:`clone` costs
-        O(1), so a publish round-trip is O(changed values) instead of the
-        dict copy's O(indexed values).
-        """
-        if self._persistent:
-            return
-        self._phrase_map = PMap.from_dict(
-            {key: tuple(hits) for key, hits in self._phrase_map.items()}
-        )
-        self._stem_map = PMap.from_dict(
-            {key: tuple(hits) for key, hits in self._stem_map.items()}
-        )
-        self._occurrences = PMap.from_dict(self._occurrences)
-        self._column_seen = PMap.from_dict(self._column_seen)
-        self._word_vocabulary.to_persistent()
-        self._persistent = True
 
     def clone(self) -> ValueIndex:
         """Independent copy sharing nothing *mutable* with the original.
 
         Used for copy-on-write refreshes: a publisher patches the clone
         with pending deltas and swaps it in atomically, so readers on the
-        old index never observe a half-applied delta.  In persistent mode
-        the clone aliases the current maps — O(1) — and both sides'
-        subsequent mutations build new structure without touching shared
-        nodes.  Dict mode deep-copies (O(indexed values), still far below
-        the full rebuild's O(database rows) re-scan).
+        old index never observe a half-applied delta.  Every map is a
+        :class:`~repro.pmap.PMap`, so the clone aliases the current maps —
+        O(1) — and both sides' subsequent mutations build new structure
+        without touching shared nodes.
         """
-        out = ValueIndex.__new__(ValueIndex)
-        out.database = self.database
-        out._max_values_per_column = self._max_values_per_column
-        out._excluded = self._excluded
-        out._persistent = self._persistent
+        out = copy.copy(self)
         out._word_vocabulary = self._word_vocabulary.clone()
-        out._max_phrase_len = self._max_phrase_len
-        if self._persistent:
-            out._phrase_map = self._phrase_map
-            out._stem_map = self._stem_map
-            out._occurrences = self._occurrences
-            out._column_seen = self._column_seen
-            return out
-        out._phrase_map = {key: list(hits) for key, hits in self._phrase_map.items()}
-        out._stem_map = {key: list(hits) for key, hits in self._stem_map.items()}
-        out._occurrences = dict(self._occurrences)
-        out._column_seen = dict(self._column_seen)
         return out
 
     def add_value(self, table: str, column: str, value: str) -> bool:
@@ -154,17 +148,11 @@ class ValueIndex:
             and seen >= self._max_values_per_column
         ):
             return False
-        if self._persistent:
-            self._column_seen = self._column_seen.set(column_key, seen + 1)
-            self._occurrences = self._occurrences.set(occurrence_key, count + 1)
-        else:
-            self._column_seen[column_key] = seen + 1
-            self._occurrences[occurrence_key] = count + 1
+        self._column_seen = self._column_seen.set(column_key, seen + 1)
+        self._occurrences = self._occurrences.set(occurrence_key, count + 1)
         phrase = _normalise_phrase(value)
         if not phrase:
             return True
-        # Vocabulary weights are per occurrence, so frequent values win
-        # spelling-correction tie-breaks; phrase entries are deduplicated.
         for word in phrase:
             self._word_vocabulary.add_word(word)
         if count == 0:
@@ -179,28 +167,16 @@ class ValueIndex:
             return  # never admitted (cap) or already gone
         column_key = (table, column)
         seen = max(0, self._column_seen.get(column_key, 0) - 1)
-        if self._persistent:
-            self._column_seen = self._column_seen.set(column_key, seen)
-        else:
-            self._column_seen[column_key] = seen
-        phrase = _normalise_phrase(value)
+        self._column_seen = self._column_seen.set(column_key, seen)
         if count > 1:
-            if self._persistent:
-                self._occurrences = self._occurrences.set(occurrence_key, count - 1)
-            else:
-                self._occurrences[occurrence_key] = count - 1
-            for word in phrase:
-                self._word_vocabulary.remove_word(word)
-            return
-        if self._persistent:
-            self._occurrences = self._occurrences.delete(occurrence_key)
+            self._occurrences = self._occurrences.set(occurrence_key, count - 1)
         else:
-            del self._occurrences[occurrence_key]
-        if not phrase:
-            return
+            self._occurrences = self._occurrences.delete(occurrence_key)
+        phrase = _normalise_phrase(value)
         for word in phrase:
             self._word_vocabulary.remove_word(word)
-        self._unindex_phrase(phrase, table, column, value)
+        if count == 1 and phrase:
+            self._unindex_phrase(phrase, table, column, value)
 
     def apply_delta(self, delta: TableDelta) -> None:
         """Consume one table mutation's string-value delta.
@@ -220,23 +196,15 @@ class ValueIndex:
         self, phrase: tuple[str, ...], table: str, column: str, value: str
     ) -> None:
         exact_hit = ValueHit(table, column, value, exact=True)
+        self._phrase_map = self._phrase_map.set(
+            phrase, self._phrase_map.get(phrase, ()) + (exact_hit,)
+        )
         stemmed = tuple(stem(word) for word in phrase)
-        if self._persistent:
-            self._phrase_map = self._phrase_map.set(
-                phrase, self._phrase_map.get(phrase, ()) + (exact_hit,)
+        if stemmed != phrase:
+            stem_hit = ValueHit(table, column, value, exact=False)
+            self._stem_map = self._stem_map.set(
+                stemmed, self._stem_map.get(stemmed, ()) + (stem_hit,)
             )
-            if stemmed != phrase:
-                self._stem_map = self._stem_map.set(
-                    stemmed,
-                    self._stem_map.get(stemmed, ())
-                    + (ValueHit(table, column, value, exact=False),),
-                )
-        else:
-            self._phrase_map.setdefault(phrase, []).append(exact_hit)
-            if stemmed != phrase:
-                self._stem_map.setdefault(stemmed, []).append(
-                    ValueHit(table, column, value, exact=False)
-                )
         self._max_phrase_len = max(self._max_phrase_len, len(phrase))
 
     def _unindex_phrase(
@@ -245,34 +213,18 @@ class ValueIndex:
         # _max_phrase_len stays a (harmless) upper bound: lookup_prefix
         # just probes lengths that no longer exist.
         doomed = (table, column, value)
-        if self._persistent:
-            for attr, key in (
-                ("_phrase_map", phrase),
-                ("_stem_map", tuple(stem(word) for word in phrase)),
-            ):
-                mapping = getattr(self, attr)
-                bucket = mapping.get(key)
-                if bucket is None:
-                    continue
-                bucket = tuple(
-                    h for h in bucket if (h.table, h.column, h.value) != doomed
-                )
-                setattr(
-                    self,
-                    attr,
-                    mapping.set(key, bucket) if bucket else mapping.delete(key),
-                )
-            return
-        for mapping, key in (
-            (self._phrase_map, phrase),
-            (self._stem_map, tuple(stem(word) for word in phrase)),
+        for attr, key in (
+            ("_phrase_map", phrase),
+            ("_stem_map", tuple(stem(word) for word in phrase)),
         ):
+            mapping = getattr(self, attr)
             bucket = mapping.get(key)
             if bucket is None:
                 continue
-            bucket[:] = [h for h in bucket if (h.table, h.column, h.value) != doomed]
-            if not bucket:
-                del mapping[key]
+            bucket = tuple(h for h in bucket if (h.table, h.column, h.value) != doomed)
+            setattr(
+                self, attr, mapping.set(key, bucket) if bucket else mapping.delete(key)
+            )
 
     # -- lookup -------------------------------------------------------------
 
@@ -287,9 +239,9 @@ class ValueIndex:
         "admiral"; exact matches win when both exist.
         """
         key = tuple(w.lower() for w in words)
-        hits = list(self._phrase_map.get(key, []))
+        hits = list(self._phrase_map.get(key, ()))
         stemmed = tuple(stem(w) for w in key)
-        for hit in self._stem_map.get(stemmed, []):
+        for hit in self._stem_map.get(stemmed, ()):
             if not any(
                 h.table == hit.table and h.column == hit.column and h.value == hit.value
                 for h in hits

@@ -1,7 +1,7 @@
 """The HTTP front end: status mapping, wire fidelity, durability.
 
 Every test talks to a real server on an ephemeral loopback port (the
-asyncio stack, the worker pool and the RW lock are all live); the wire
+asyncio stack, the worker pool and the commit lock are all live); the wire
 payloads are asserted to be exactly ``Response.to_dict()`` JSON plus the
 documented ``session`` echo.
 """

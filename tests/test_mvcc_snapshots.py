@@ -19,7 +19,6 @@ import threading
 
 import pytest
 
-from repro.core.config import NliConfig
 from repro.core.pipeline import NaturalLanguageInterface
 from repro.datasets import fleet
 from repro.errors import ExecutionError
@@ -420,7 +419,6 @@ class TestLayerPublishing:
     def test_delta_refresh_publishes_cloned_layers_in_publish_mode(self):
         database = fleet.build_database()
         nli = NaturalLanguageInterface(database, domain=fleet.domain())
-        nli.copy_on_refresh = True
         assert nli.ask("how many ships are there").ok
         old_layers = nli.layers
         old_index = old_layers.value_index
@@ -435,18 +433,6 @@ class TestLayerPublishing:
         assert not any(
             h.table == "port" for h in nli.value_index.lookup(["norfolk"])
         )
-
-    def test_in_place_refresh_keeps_index_identity_by_default(self):
-        database = fleet.build_database()
-        nli = NaturalLanguageInterface(database, domain=fleet.domain())
-        assert nli.ask("how many ships are there").ok
-        index = nli.value_index
-        nli.engine.execute(
-            "INSERT INTO ship VALUES (900, 'Patched', 3, 1, 1, 1, "
-            "8000, 600, 30, 1976, 150)"
-        )
-        nli.refresh_if_needed()
-        assert nli.value_index is index  # single-threaded: patch in place
 
     def test_prepared_cache_keys_carry_the_layers_epoch(self):
         database = fleet.build_database()
@@ -552,20 +538,3 @@ class TestServiceMvccReads:
         stats = service.stats
         assert stats["lock_read_acquires"] >= 15
         assert stats["snapshot_pins"] == 0
-
-    def test_legacy_rwlock_mode_still_works(self):
-        service = NliService(
-            fleet.build_database(),
-            domain=fleet.domain(),
-            config=NliConfig(mvcc_reads=False),
-        )
-        assert service.ask("how many ships are there").ok
-        service.execute(
-            "INSERT INTO ship VALUES (952, 'Legacy', 3, 1, 1, 1, "
-            "8000, 600, 30, 1976, 150)"
-        )
-        response = service.ask("how many ships are there")
-        assert response.ok
-        # Legacy readers really hold the RW lock (no MVCC gauge entries).
-        assert service._lock.stats["read_acquires"] >= 2
-        assert not service.nli.copy_on_refresh

@@ -2,17 +2,17 @@
 
 Three layers under test:
 
-* :class:`repro.valueindex.pmap.PMap` — the HAMT itself, differentially
-  fuzzed against ``dict`` and probed on hash collisions, and its one-pass
+* :class:`repro.pmap.PMap` — the HAMT itself, differentially fuzzed
+  against ``dict`` and probed on hash collisions, and its one-pass
   ``from_dict`` build compared node for node with successive ``set`` calls;
-* :class:`~repro.valueindex.ValueIndex` in persistent mode — identical
-  lookup behaviour, O(1) clones, structural sharing across a publish
-  (checked by *object identity sampling*: untouched buckets in the
-  patched clone must be the very same objects the pinned reader holds),
-  and occurrence refcounts that survive clone-free publishes;
-* the pipeline's publish mode (``enable_copy_on_refresh``) — a delta
-  refresh swaps in a new bundle whose index shares all untouched
-  structure with the one concurrent readers still hold.
+* :class:`~repro.valueindex.ValueIndex` and the spelling corrector — O(1)
+  clones, structural sharing across a publish (checked by *object
+  identity sampling*: untouched buckets in the patched clone must be the
+  very same objects the pinned reader holds), and occurrence refcounts
+  that survive clone-free publishes;
+* the pipeline's publish path — a delta refresh swaps in a new bundle
+  whose index shares all untouched structure with the one concurrent
+  readers still hold.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.datasets import fleet
 from repro.nlp.spelling import SpellingCorrector
 from repro.sqlengine.table import TableDelta
 from repro.valueindex import ValueIndex
-from repro.valueindex.pmap import PMap, _Collision, _Leaf, _Node
+from repro.pmap import PMap, _Collision, _Leaf, _Node
 
 
 class TestPMap:
@@ -208,27 +208,8 @@ def _sample_index() -> ValueIndex:
 
 
 class TestValueIndexPersistentMode:
-    def test_conversion_preserves_lookups(self):
-        dict_mode = _sample_index()
-        persistent = _sample_index()
-        persistent.to_persistent()
-        probes = [["pacific"], ["norfolk"], ["colossus"], ["nosuchword"]]
-        for words in probes:
-            assert persistent.lookup(words) == dict_mode.lookup(words)
-            assert persistent.lookup_prefix(words) == dict_mode.lookup_prefix(words)
-        assert persistent.stats() == dict_mode.stats()
-        assert persistent.fuzzy_word("pacifc") == dict_mode.fuzzy_word("pacifc")
-
-    def test_to_persistent_idempotent(self):
-        index = _sample_index()
-        index.to_persistent()
-        phrase_map = index._phrase_map
-        index.to_persistent()
-        assert index._phrase_map is phrase_map
-
     def test_clone_aliases_maps(self):
         index = _sample_index()
-        index.to_persistent()
         clone = index.clone()
         # O(1) publish: the clone holds the same map objects by reference.
         assert clone._phrase_map is index._phrase_map
@@ -244,7 +225,6 @@ class TestValueIndexPersistentMode:
         old and new index — structural sharing, not a deep copy.
         """
         index = _sample_index()
-        index.to_persistent()
         clone = index.clone()
         clone.apply_delta(
             TableDelta("ship", added=(("name", "Zephyr Queen"),))
@@ -266,7 +246,6 @@ class TestValueIndexPersistentMode:
     def test_refcounts_survive_clone_free_publish(self):
         """Occurrence refcounts stay correct across chained O(1) publishes."""
         index = _sample_index()
-        index.to_persistent()
         # Two live rows hold the same value...
         gen1 = index.clone()
         gen1.apply_delta(TableDelta("ship", added=(("name", "Twinsburg"),)))
@@ -293,28 +272,15 @@ class TestValueIndexPersistentMode:
         index = ValueIndex(
             fleet.build_database(seed=7, ships=50), max_values_per_column=3
         )
-        index.to_persistent()
         rejected = index.add_value("ship", "name", "Brand New Value")
         assert rejected is False
         assert index.lookup(["brand", "new", "value"]) == []
 
 
 class TestSpellingCorrectorPersistentMode:
-    def test_parity_with_dict_mode(self):
-        dict_mode, persistent = SpellingCorrector(), SpellingCorrector()
-        for corrector in (dict_mode, persistent):
-            corrector.add_words(["harbor", "harbour", "frigate", "frigates"])
-            corrector.add_word("frigate")  # weight tie-break material
-        persistent.to_persistent()
-        for word in ["harbr", "frigate", "frigat", "xyzzy"]:
-            assert persistent.correct(word) == dict_mode.correct(word)
-        assert len(persistent) == len(dict_mode)
-        assert ("harbor" in persistent) == ("harbor" in dict_mode)
-
     def test_clone_is_reference_copy(self):
         corrector = SpellingCorrector()
         corrector.add_words(["alpha", "beta"])
-        corrector.to_persistent()
         clone = corrector.clone()
         assert clone._vocabulary is corrector._vocabulary
         assert clone._by_length is corrector._by_length
@@ -324,27 +290,16 @@ class TestSpellingCorrectorPersistentMode:
     def test_remove_word_drops_empty_buckets(self):
         corrector = SpellingCorrector()
         corrector.add_word("lonely")
-        corrector.to_persistent()
         corrector.remove_word("lonely")
         assert "lonely" not in corrector
         assert len(corrector._by_length) == 0
 
 
 class TestPipelinePublishMode:
-    def test_enable_converts_live_index(self):
-        nli = NaturalLanguageInterface(
-            fleet.build_database(seed=7, ships=200), domain=fleet.domain()
-        )
-        assert not nli.value_index._persistent
-        nli.enable_copy_on_refresh()
-        assert nli.copy_on_refresh
-        assert nli.value_index._persistent
-
     def test_delta_refresh_publishes_shared_structure(self):
         nli = NaturalLanguageInterface(
             fleet.build_database(seed=7, ships=200), domain=fleet.domain()
         )
-        nli.enable_copy_on_refresh()
         old_layers = nli.layers
         old_index = old_layers.value_index
         nli.engine.execute(
@@ -372,6 +327,9 @@ class TestPipelinePublishMode:
         nli = NaturalLanguageInterface(
             fleet.build_database(seed=7, ships=50), domain=fleet.domain()
         )
-        nli.enable_copy_on_refresh()
         nli.refresh(full=True)
-        assert nli.value_index._persistent
+        index = nli.value_index
+        maps = [index._phrase_map, index._stem_map, index._occurrences]
+        maps += [index._column_seen, index._word_vocabulary._vocabulary]
+        assert all(isinstance(m, PMap) for m in maps)
+        assert isinstance(nli.lexicon._vocabulary()._vocabulary, PMap)

@@ -57,7 +57,7 @@ class TestAsyncFace:
         try:
             responses = asyncio.run(main())
             assert all(response.ok for response in responses)
-            # Every call went through the read lock on a pool thread.
+            # Every call was counted as a reader entry on a pool thread.
             assert service.lock_stats["read_acquires"] >= len(responses)
         finally:
             service.close()

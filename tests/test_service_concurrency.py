@@ -1,4 +1,4 @@
-"""Threaded hammer tests for the NliService read-write facade.
+"""Threaded hammer tests for the NliService snapshot-read facade.
 
 Acceptance: N threads of ``ask()`` interleaved with DML writers produce
 no torn reads (every count is a value the table actually passed
@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 
 from repro.datasets import fleet
-from repro.service import NliService, RwLock
+from repro.service import NliService
 
 ASKERS = 6
 ASKS_PER_THREAD = 15
@@ -123,64 +123,3 @@ class TestThreadedAskWithDml:
         for thread in threads:
             thread.join()
         assert not errors, errors
-
-
-class TestRwLock:
-    def test_writer_excludes_readers(self):
-        lock = RwLock()
-        order: list[str] = []
-        with lock.write_locked():
-            reader = threading.Thread(
-                target=lambda: (lock.acquire_read(), order.append("read"),
-                                lock.release_read())
-            )
-            reader.start()
-            order.append("write")
-        reader.join()
-        assert order == ["write", "read"]
-
-    def test_readers_overlap(self):
-        lock = RwLock()
-        inside = threading.Barrier(2, timeout=5)
-
-        def reader() -> None:
-            with lock.read_locked():
-                inside.wait()  # both threads are inside the read section
-
-        threads = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert lock.stats["max_concurrent_readers"] >= 2
-
-    def test_waiting_writer_blocks_new_readers(self):
-        lock = RwLock()
-        lock.acquire_read()
-        writer_done = threading.Event()
-
-        def writer() -> None:
-            with lock.write_locked():
-                writer_done.set()
-
-        late_reader_ran = threading.Event()
-
-        def late_reader() -> None:
-            with lock.read_locked():
-                late_reader_ran.set()
-
-        writer_thread = threading.Thread(target=writer)
-        writer_thread.start()
-        # Give the writer time to queue, then try to sneak a reader in.
-        import time
-
-        time.sleep(0.05)
-        reader_thread = threading.Thread(target=late_reader)
-        reader_thread.start()
-        time.sleep(0.05)
-        # Writer preference: the late reader must still be waiting.
-        assert not late_reader_ran.is_set()
-        lock.release_read()
-        writer_thread.join(timeout=5)
-        reader_thread.join(timeout=5)
-        assert writer_done.is_set() and late_reader_ran.is_set()

@@ -25,7 +25,6 @@ import threading
 
 import pytest
 
-from repro.core.config import NliConfig
 from repro.datasets import fleet
 from repro.errors import IntegrityError, SqlSyntaxError, TransactionError
 from repro.service.service import NliService
@@ -248,12 +247,8 @@ class TestEngineExplain:
 
 
 class TestServiceTransactions:
-    def _service(self, **cfg) -> NliService:
-        return NliService(
-            fleet.build_database(),
-            domain=fleet.domain(),
-            config=NliConfig(**cfg) if cfg else None,
-        )
+    def _service(self) -> NliService:
+        return NliService(fleet.build_database(), domain=fleet.domain())
 
     def test_asks_during_transaction_see_committed_state(self):
         service = self._service()
@@ -350,11 +345,27 @@ class TestServiceTransactions:
         service.execute("ROLLBACK")
         service.close()
 
-    def test_legacy_lock_mode_supports_transactions(self):
-        service = self._service(mvcc_reads=False)
+    def test_commit_on_another_thread_releases_the_commit_lock(self):
+        # Worker pools hand BEGIN and COMMIT to whichever thread is free:
+        # the commit lock must not be owned by the thread that took it.
+        service = self._service()
         base = service.execute("SELECT COUNT(*) FROM ship").scalar()
         service.execute("BEGIN")
         service.execute(SHIP_INSERT.format(id=904, name="mako"))
-        service.execute("ROLLBACK")
-        assert service.execute("SELECT COUNT(*) FROM ship").scalar() == base
+        errors: list[BaseException] = []
+
+        def commit() -> None:
+            try:
+                service.execute("COMMIT")
+            except BaseException as exc:  # pragma: no cover - diagnostics
+                errors.append(exc)
+
+        thread = threading.Thread(target=commit)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not errors, errors
+        # The lock is free again: an autocommit write goes straight through.
+        service.execute(SHIP_INSERT.format(id=905, name="orca"))
+        assert service.execute("SELECT COUNT(*) FROM ship").scalar() == base + 2
+        assert service.lock_stats["write_acquires"] == 2
         service.close()
