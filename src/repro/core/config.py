@@ -45,22 +45,15 @@ class NliConfig:
     #: ``nli.stats["prepared_ttl_evictions"]``.
     prepared_cache_ttl_s: float | None = None
     #: Capacity of the engine's statement-plan cache (AST + optimized plan
-    #: + materialized result per statement text).  Entries are stamped with
-    #: per-table versions, so a write to one table leaves entries for other
-    #: tables valid — the cache only needs to hold the distinct statement
-    #: texts of the workload.
+    #: with its batch kernels + materialized result per statement text).
+    #: Entries are stamped with per-table versions, so a write to one table
+    #: leaves entries for other tables valid — the cache only needs to hold
+    #: the distinct statement texts of the workload.
     plan_cache_size: int = 256
     #: Per-entry row bound for the plan cache's materialized-result layer;
     #: larger results are executed but not cached, so a handful of
     #: ``SELECT *`` statements cannot pin copies of the database in memory.
     max_cached_result_rows: int = 10_000
-    #: Columnar batch execution for the hot SELECT path: covered plan
-    #: nodes run compiled batch kernels (selection vectors + tight
-    #: per-column loops) instead of the per-row interpreter; uncovered
-    #: constructs fall back per node.  Set False to force the row path —
-    #: the comparison baseline for ``benchmarks/bench_f12_columnar.py``
-    #: and the differential tests.
-    use_columnar: bool = True
     #: When this many row-level deltas pile up before the next question, a
     #: full language-layer rebuild is cheaper than replaying them one by
     #: one (bulk loads); below it, the value index updates incrementally.

@@ -145,7 +145,6 @@ class NaturalLanguageInterface:
             database,
             plan_cache_size=self.config.plan_cache_size,
             max_cached_result_rows=self.config.max_cached_result_rows,
-            use_columnar=self.config.use_columnar,
         )
         self.grammar = build_english_grammar()
         self.parser = EarleyParser(self.grammar)

@@ -1,10 +1,7 @@
-"""Columnar batch execution kernels for the hot SELECT path.
+"""Batch execution kernels: how every SELECT plan runs.
 
-The row interpreter in :mod:`~repro.sqlengine.executor` evaluates every
-expression by allocating an :class:`~repro.sqlengine.expressions.Env` per
-row and dispatching through the :class:`Evaluator` — correct, but the
-per-row overhead dominates large scans and joins.  This module compiles a
-plan into *kernels* that run the same operators over batches:
+:func:`install_kernels` gives every plan node a *kernel* that runs its
+operator over batches:
 
 * a :class:`Batch` is shared row storage plus a selection vector of live
   positions — filters narrow the selection without copying rows, and
@@ -13,35 +10,36 @@ plan into *kernels* that run the same operators over batches:
   loops over one column (``[i for i in sel if rows[i][pos] > lit]``) when
   the predicate's shape and the column's declared type guarantee the loop
   cannot raise; anything else compiles to a per-row closure with exactly
-  the row evaluator's semantics (Kleene AND/OR short-circuit, NULL
+  the :class:`Evaluator`'s semantics (Kleene AND/OR short-circuit, NULL
   propagation, error checks in the same order);
 * hash joins compile their key and residual expressions to closures and
-  run the executor's exact build/probe loops without Env allocation; an
-  INNER join with no residual probes in one comprehension over the
-  selection.
+  run build/probe loops without Env allocation; an INNER join with no
+  residual probes in one comprehension over the selection; nested-loop
+  joins run left-major, right-minor, NULL-padding LEFT rows.
 
 The executor uses the same compiler above the plan: projection, GROUP BY
 keys and aggregate arguments run as closures over the batch's row tuples,
 and :func:`column_position` picks out the plain columns it can gather
 column by column.
 
-Coverage is per node: a construct the compiler does not handle (subquery,
-outer-row reference, unknown function, ambiguous column) simply leaves
-that node without a kernel and the executor's row path runs it — the two
-paths compose within one plan.  Every covered construct replicates the
-row evaluator's observable behaviour: the same rows, in the same order,
-and an exception raised for exactly the same row/operand evaluations.
-Nodes that received a kernel report ``columnar=true`` in EXPLAIN.
+An expression outside the compiled subset (a subquery, an outer-row
+reference, an unknown function, an ambiguous column) is not a reason to
+leave the node: that one expression is evaluated per row through an
+:class:`Env` over the run's outer environment (:func:`row_fn`,
+:func:`bind_expr`), so correlated references resolve and errors surface
+exactly as the evaluator raises them.  Everything else in the node keeps
+its compiled closure.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from repro.errors import ExecutionError, UnknownColumnError
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.expressions import Evaluator, Scope, like_to_regex
+from repro.sqlengine.expressions import Env, Evaluator, Scope, like_to_regex
 from repro.sqlengine.functions import SCALAR_FUNCTIONS
 from repro.sqlengine.planner import (
     FilterNode,
@@ -58,6 +56,10 @@ RowFn = Callable[[tuple], Any]
 
 #: A compiled scan predicate: narrows a selection over shared storage.
 SelectorFn = Callable[[list, Iterable[int]], list]
+
+#: A node expression prepared at install time; called once per kernel run
+#: as ``bind(engine, outer_env)`` it returns the run's closure.
+Binder = Callable[[Any, Any], Any]
 
 
 class Batch:
@@ -97,8 +99,9 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> RowFn | None:
     semantics, evaluation order and raised errors — without Env
     allocation or dispatch.  ``None`` means the construct is not covered
     (subqueries, outer-row references, unknown functions/operators,
-    ambiguous columns): the caller falls back to the row path, which
-    either handles it or surfaces the identical error.
+    ambiguous columns): :func:`row_fn` then evaluates the whole
+    expression through an Env, which either handles it or surfaces the
+    identical error.
     """
     if isinstance(expr, ast.Literal):
         value = expr.value
@@ -106,7 +109,7 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> RowFn | None:
     if isinstance(expr, ast.ColumnRef):
         pos = column_position(expr, scope)
         if pos is None:
-            return None  # ambiguous or outer reference: row path territory
+            return None  # ambiguous or outer reference: evaluated via Env
         return itemgetter(pos)
     if isinstance(expr, ast.UnaryOp):
         fn = compile_expr(expr.operand, scope)
@@ -136,7 +139,7 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> RowFn | None:
     if isinstance(expr, ast.FunctionCall):
         fn = SCALAR_FUNCTIONS.get(expr.name.lower())
         if fn is None:
-            return None  # unknown function / aggregate: row path raises
+            return None  # unknown function / aggregate: the Env path raises
         arg_fns = [compile_expr(arg, scope) for arg in expr.args]
         if any(arg_fn is None for arg_fn in arg_fns):
             return None
@@ -154,14 +157,14 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> RowFn | None:
         return _compile_like(expr, scope)
     if isinstance(expr, ast.InList):
         return _compile_in_list(expr, scope)
-    return None  # subqueries, Star, anything new: row path territory
+    return None  # subqueries, Star, anything new: evaluated via Env
 
 
 def column_position(expr: ast.Expr, scope: Scope) -> int | None:
     """Tuple position of ``expr`` when it is a plain column of ``scope``.
 
     None for any other expression, an outer-row reference, or an
-    ambiguous name (the row path raises that one per query).  A plain
+    ambiguous name (the Env path raises that one per row).  A plain
     column cannot raise, so callers may read it in any order.
     """
     if not isinstance(expr, ast.ColumnRef):
@@ -170,6 +173,27 @@ def column_position(expr: ast.Expr, scope: Scope) -> int | None:
         return scope.resolve(expr.name, expr.table)
     except UnknownColumnError:
         return None
+
+
+def _env_fn(expr: ast.Expr, scope: Scope, engine: Any, outer_env: Any) -> RowFn:
+    """Closure evaluating the whole of ``expr`` through one Env per row."""
+    evaluate = engine._evaluator.evaluate
+    return lambda row: evaluate(expr, Env(scope, row, outer_env))
+
+
+def row_fn(expr: ast.Expr, scope: Scope, engine: Any, outer_env: Any) -> RowFn:
+    """``expr``'s compiled closure, or else its per-row Env evaluation."""
+    return compile_expr(expr, scope) or _env_fn(expr, scope, engine, outer_env)
+
+
+def bind_expr(expr: ast.Expr, scope: Scope) -> Binder:
+    """:func:`row_fn` for a kernel: compiled once at install time; an
+    uncompiled expression gets its Env closure per run, because only the
+    run knows the engine's evaluator and the outer row."""
+    fn = compile_expr(expr, scope)
+    if fn is not None:
+        return lambda engine, outer_env: fn
+    return partial(_env_fn, expr, scope)
 
 
 def _compile_binary(expr: ast.BinaryOp, scope: Scope) -> RowFn | None:
@@ -249,7 +273,7 @@ def _compile_binary(expr: ast.BinaryOp, scope: Scope) -> RowFn | None:
             return Evaluator._arith(left, right, arith, op)
 
         return div_mod_fn
-    return None  # unknown operator: row path raises
+    return None  # unknown operator: the Env path raises
 
 
 def _compile_between(expr: ast.Between, scope: Scope) -> RowFn | None:
@@ -451,7 +475,7 @@ def _fused_selector(conjunct: ast.Expr, scope: Scope, schema: Any) -> SelectorFn
             return None
         pos, sql_type = col
         if sql_type is not SqlType.TEXT:
-            return None  # non-text operands must raise like the row path
+            return None  # non-text operands must raise like the evaluator
         match = like_to_regex(pattern).match
         if conjunct.negated:
             return lambda rows, sel: [
@@ -500,33 +524,41 @@ def _fused_selector(conjunct: ast.Expr, scope: Scope, schema: Any) -> SelectorFn
     ]
 
 
-def compile_selector(
-    conjunct: ast.Expr, scope: Scope, schema: Any
-) -> SelectorFn | None:
-    """Compile one scan residual conjunct to a selection-vector narrowing."""
-    fused = _fused_selector(conjunct, scope, schema)
-    if fused is not None:
-        return fused
-    pred = compile_expr(conjunct, scope)
-    if pred is None:
-        return None
+def _pred_selector(pred: RowFn) -> SelectorFn:
     return lambda rows, sel: [i for i in sel if pred(rows[i]) is True]
+
+
+def _env_selector(
+    conjunct: ast.Expr, scope: Scope, engine: Any, outer_env: Any
+) -> SelectorFn:
+    return _pred_selector(_env_fn(conjunct, scope, engine, outer_env))
+
+
+def bind_selector(conjunct: ast.Expr, scope: Scope, schema: Any) -> Binder:
+    """One scan residual conjunct as a selection-vector narrowing: a fused
+    loop when its shape allows, else its compiled or Env predicate."""
+    selector = _fused_selector(conjunct, scope, schema)
+    if selector is None:
+        pred = compile_expr(conjunct, scope)
+        if pred is None:
+            return partial(_env_selector, conjunct, scope)
+        selector = _pred_selector(pred)
+    return lambda engine, outer_env: selector
 
 
 # -- kernel installation -------------------------------------------------------
 
 
 def install_kernels(plan: PlanNode, database: Any) -> Scope:
-    """Attach columnar kernels bottom-up; returns the plan's output scope.
+    """Attach a kernel to every node, bottom-up; returns the plan's scope.
 
-    Nodes whose expressions fully compile get a ``_kernel`` attribute (a
-    callable ``kernel(engine, node, outer_env) -> (Scope, Batch)``, called
-    with the node it hangs on) and have ``columnar`` set for EXPLAIN;
-    uncovered nodes are left untouched and run on the executor's row path.
-    Kernels capture only compiled expressions and column positions — never
-    table data, and never the node itself, which would make every plan a
-    reference cycle — so cached plans revalidate against fresh storage on
-    every execution and dropped plans are freed by reference counting.
+    A kernel is a ``_kernel`` attribute, a callable
+    ``kernel(engine, node, outer_env) -> (Scope, Batch)`` called with the
+    node it hangs on.  Kernels capture only compiled expressions, the AST
+    of uncompiled ones, and column positions — never table data, and never
+    the node itself, which would make every plan a reference cycle — so
+    cached plans revalidate against fresh storage on every execution and
+    dropped plans are freed by reference counting.
     """
     if isinstance(plan, ScanNode):
         return _install_scan(plan, database)
@@ -537,24 +569,16 @@ def install_kernels(plan: PlanNode, database: Any) -> Scope:
     if isinstance(plan, ReorderNode):
         return _install_reorder(plan, database)
     if isinstance(plan, JoinNode):
-        # Nested-loop joins stay on the row path (they are the fallback
-        # operator for non-equi conditions), but their inputs may still
-        # run columnar kernels underneath.
-        left = install_kernels(plan.left, database)
-        right = install_kernels(plan.right, database)
-        return left.merge(right)
+        return _install_nested_join(plan, database)
     raise ExecutionError(f"unknown plan node {type(plan).__name__}")
 
 
 def _install_scan(plan: ScanNode, database: Any) -> Scope:
     schema = database.table(plan.table_name).schema
     scope = Scope([(plan.binding, col) for col in schema.column_names])
-    selectors: list[SelectorFn] = []
-    for conjunct in plan.residual_filters:
-        selector = compile_selector(conjunct, scope, schema)
-        if selector is None:
-            return scope  # subquery/outer ref residual: row path scan
-        selectors.append(selector)
+    selectors = [
+        bind_selector(conjunct, scope, schema) for conjunct in plan.residual_filters
+    ]
 
     def kernel(engine: Any, node: ScanNode, outer_env: Any) -> tuple[Scope, Batch]:
         table = engine._source().table(node.table_name)
@@ -563,33 +587,60 @@ def _install_scan(plan: ScanNode, database: Any) -> Scope:
         if candidate_ids is not None:
             sel = [i for i in sorted(candidate_ids) if rows[i] is not None]
         # Applying selectors in conjunct order over the shrinking selection
-        # is exactly the row path's short-circuit across conjuncts: a later
-        # predicate only ever evaluates rows the earlier ones accepted.
-        for selector in selectors:
+        # evaluates exactly the (row, conjunct) pairs a per-row AND
+        # short-circuit does: a later predicate only ever evaluates rows
+        # the earlier ones accepted.
+        for bind in selectors:
             if not sel:
                 break
-            sel = selector(rows, sel)
+            sel = bind(engine, outer_env)(rows, sel)
         return scope, Batch(rows, sel)
 
     plan._kernel = kernel
-    plan.columnar = True
     return scope
 
 
 def _install_filter(plan: FilterNode, database: Any) -> Scope:
     scope = install_kernels(plan.child, database)
-    pred = compile_expr(plan.predicate, scope)
-    if pred is None:
-        return scope
+    bind_pred = bind_expr(plan.predicate, scope)
 
     def kernel(engine: Any, node: FilterNode, outer_env: Any) -> tuple[Scope, Batch]:
         child_scope, batch = engine._run_plan_batch(node.child, outer_env)
+        pred = bind_pred(engine, outer_env)
         rows = batch.rows
         sel = [i for i in batch.sel if pred(rows[i]) is True]
         return child_scope, Batch(rows, sel)
 
     plan._kernel = kernel
-    plan.columnar = True
+    return scope
+
+
+def _install_nested_join(plan: JoinNode, database: Any) -> Scope:
+    left_scope = install_kernels(plan.left, database)
+    right_scope = install_kernels(plan.right, database)
+    scope = left_scope.merge(right_scope)
+    bind_cond = None if plan.condition is None else bind_expr(plan.condition, scope)
+    left_join = plan.kind == "LEFT"
+    null_pad = (None,) * len(right_scope)
+
+    def kernel(engine: Any, node: JoinNode, outer_env: Any) -> tuple[Scope, Batch]:
+        _lscope, lbatch = engine._run_plan_batch(node.left, outer_env)
+        _rscope, rbatch = engine._run_plan_batch(node.right, outer_env)
+        cond = None if bind_cond is None else bind_cond(engine, outer_env)
+        right_rows = rbatch.materialize()
+        out = []
+        for left_row in map(lbatch.rows.__getitem__, lbatch.sel):
+            matched = False
+            for right_row in right_rows:
+                combined = left_row + right_row
+                if cond is None or cond(combined) is True:
+                    matched = True
+                    out.append(combined)
+            if left_join and not matched:
+                out.append(left_row + null_pad)
+        return scope, Batch(out, range(len(out)))
+
+    plan._kernel = kernel
     return scope
 
 
@@ -597,25 +648,22 @@ def _install_hash_join(plan: HashJoinNode, database: Any) -> Scope:
     left_scope = install_kernels(plan.left, database)
     right_scope = install_kernels(plan.right, database)
     scope = left_scope.merge(right_scope)
-    left_key = compile_expr(plan.left_key, left_scope)
-    right_key = compile_expr(plan.right_key, right_scope)
-    residual: RowFn | None = None
-    if plan.residual is not None:
-        residual = compile_expr(plan.residual, scope)
-        if residual is None:
-            return scope
-    if left_key is None or right_key is None:
-        return scope
+    bind_left = bind_expr(plan.left_key, left_scope)
+    bind_right = bind_expr(plan.right_key, right_scope)
+    bind_residual = None if plan.residual is None else bind_expr(plan.residual, scope)
     build_left = plan.build == "left" and plan.kind == "INNER"
     left_join = plan.kind == "LEFT"
     # An INNER join without a residual probes in one comprehension.  NULL
     # probe keys find no bucket (NULLs are never built), and equal numbers
     # hash equal, so 1 meets 1.0 as in SQL.
-    plain_inner = plan.kind == "INNER" and residual is None
+    plain_inner = plan.kind == "INNER" and plan.residual is None
 
     def kernel(engine: Any, node: HashJoinNode, outer_env: Any) -> tuple[Scope, Batch]:
         lscope, lbatch = engine._run_plan_batch(node.left, outer_env)
         rscope, rbatch = engine._run_plan_batch(node.right, outer_env)
+        left_key = bind_left(engine, outer_env)
+        right_key = bind_right(engine, outer_env)
+        residual = None if bind_residual is None else bind_residual(engine, outer_env)
         out_scope = lscope.merge(rscope)
         lrows, lsel = lbatch.rows, lbatch.sel
         rrows, rsel = rbatch.rows, rbatch.sel
@@ -672,7 +720,6 @@ def _install_hash_join(plan: HashJoinNode, database: Any) -> Scope:
         return out_scope, Batch(out, range(len(out)))
 
     plan._kernel = kernel
-    plan.columnar = True
     return scope
 
 
@@ -715,5 +762,4 @@ def _install_reorder(plan: ReorderNode, database: Any) -> Scope:
         return scope, Batch(out, range(len(out)))
 
     plan._kernel = kernel
-    plan.columnar = True
     return scope

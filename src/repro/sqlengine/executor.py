@@ -3,17 +3,18 @@
 :class:`Engine` is the public façade: it parses, plans, optimizes and runs
 statements against a :class:`~repro.sqlengine.database.Database`.
 
-The access plan (scans/joins/filters) produces a batch of row tuples; the
-executor then applies the "upper" query semantics — grouping and
-aggregation, HAVING, projection with star expansion, DISTINCT, ORDER BY
-and LIMIT — from the AST.  A columnar engine projects and groups the
-batch with compiled closures (:func:`~repro.sqlengine.columnar.compile_expr`),
-building one :class:`Env` per group rather than per row; an expression
-outside the compilable subset, and every query on a row engine
-(``use_columnar=False``), takes the row path, which evaluates through an
-``Env`` per input row.  Both paths hand DISTINCT/ORDER BY/LIMIT the same
-projection: output rows plus one list per ORDER BY key, sorted as an index
-permutation (:func:`~repro.sqlengine.types.sort_permutation`).
+There is one executor.  Every node of the access plan (scans, joins,
+filters) runs as a batch kernel (:func:`~repro.sqlengine.columnar.install_kernels`),
+and the plan produces a batch of row tuples; the executor then applies the
+"upper" query semantics — grouping and aggregation, HAVING, projection
+with star expansion, DISTINCT, ORDER BY and LIMIT — from the AST.
+Projection and grouping run compiled closures over the batch
+(:func:`~repro.sqlengine.columnar.compile_expr`), building one :class:`Env`
+per group rather than per row; an expression outside the compiled subset
+is evaluated through an ``Env`` per row
+(:func:`~repro.sqlengine.columnar.row_fn`).  The projection is output rows
+plus one list per ORDER BY key, sorted as an index permutation
+(:func:`~repro.sqlengine.types.sort_permutation`).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from repro.sqlengine.columnar import (
     Batch,
     RowFn,
     column_position,
-    compile_expr,
     install_kernels,
+    row_fn,
 )
 from repro.sqlengine.database import Database
 from repro.sqlengine.expressions import Env, Evaluator, Scope
@@ -44,11 +45,7 @@ from repro.sqlengine.optimizer import install_index_hints, optimize
 from repro.sqlengine.parser import parse_sql
 from repro.sqlengine.plancache import PlanCache
 from repro.sqlengine.planner import (
-    FilterNode,
-    HashJoinNode,
-    JoinNode,
     PlanNode,
-    ReorderNode,
     ScanNode,
     build_plan,
     qualify_expr,
@@ -90,18 +87,17 @@ class _AggregateEvaluator(Evaluator):
     against the group's representative (first) row, matching the permissive
     semantics of engines like MySQL for non-grouped columns.
 
-    Group rows are :class:`Env` objects, or — when ``arg_fns`` maps every
-    aggregate call (by ``id``) to its compiled argument — raw row tuples.
+    Group rows are raw row tuples; ``arg_fns`` maps every aggregate call
+    (by ``id``) to its argument's row closure.
     """
 
     def __init__(
         self,
         base: Evaluator,
-        group_rows: list[Any],
-        arg_fns: dict[int, RowFn] | None = None,
+        group_rows: list[tuple[Any, ...]],
+        arg_fns: dict[int, RowFn],
     ) -> None:
         super().__init__(base._run_subquery)
-        self._base = base
         self._group_rows = group_rows
         self._arg_fns = arg_fns
 
@@ -118,11 +114,7 @@ class _AggregateEvaluator(Evaluator):
             return len(self._group_rows)
         if len(expr.args) != 1:
             raise ExecutionError(f"{expr.name}() takes exactly one argument")
-        if self._arg_fns is not None:
-            values = list(map(self._arg_fns[id(expr)], self._group_rows))
-        else:
-            arg = expr.args[0]
-            values = [self._base.evaluate(arg, env) for env in self._group_rows]
+        values = list(map(self._arg_fns[id(expr)], self._group_rows))
         return AGGREGATES[name](values, distinct=expr.distinct)
 
 
@@ -143,14 +135,10 @@ class Engine:
         use_plan_cache: bool = True,
         plan_cache_size: int = 256,
         max_cached_result_rows: int = 10_000,
-        use_columnar: bool = True,
     ) -> None:
         self.database = database
         self.use_optimizer = use_optimizer
         self.use_indexes = use_indexes
-        #: Attach columnar batch kernels to covered plan nodes; uncovered
-        #: constructs fall back to the row interpreter per node.
-        self.use_columnar = use_columnar
         self.plan_cache = (
             PlanCache(plan_cache_size, max_cached_result_rows)
             if use_plan_cache
@@ -354,24 +342,17 @@ class Engine:
         if self.plan_cache is not None:
             if cache_key is None:
                 cache_key = self._statement_key(select)
-            hit, plan = self.plan_cache.plan(
-                cache_key, source.table_version, columnar=self.use_columnar
-            )
+            hit, plan = self.plan_cache.plan(cache_key, source.table_version)
             if hit:
                 return plan
         plan = build_plan(select, source)
         if self.use_optimizer:
             plan = optimize(plan, source, use_indexes=self.use_indexes)
-        if self.use_columnar and plan is not None:
+        if plan is not None:
             install_kernels(plan, source)
         if self.plan_cache is not None:
             assert cache_key is not None
-            self.plan_cache.store_plan(
-                cache_key,
-                self._dependency_stamps(select),
-                plan,
-                columnar=self.use_columnar,
-            )
+            self.plan_cache.store_plan(cache_key, self._dependency_stamps(select), plan)
         return plan
 
     def _run_subquery(self, select: ast.Select, env: Env) -> list[tuple[Any, ...]]:
@@ -401,27 +382,10 @@ class Engine:
             scope, batch = Scope([]), Batch([()], range(1))
         else:
             scope, batch = self._run_plan_batch(plan, outer_env)
-        aggregate = self._is_aggregate_query(select)
-        projected = None
-        if self.use_columnar:
-            # Columnar fast path: project or group straight off the batch
-            # with compiled closures, skipping per-row Env allocation.
-            # Returns None (row path below) when an expression is outside
-            # the compilable subset.
-            if aggregate:
-                projected = self._project_groups_batch(select, scope, batch, outer_env)
-            else:
-                projected = self._project_batch(select, scope, batch)
-        if projected is None:
-            envs = [
-                Env(scope, row, outer_env)
-                for row in map(batch.rows.__getitem__, batch.sel)
-            ]
-            if aggregate:
-                projected = self._project_groups(select, scope, envs, outer_env)
-            else:
-                projected = self._project_rows(select, scope, envs)
-
+        if self._is_aggregate_query(select):
+            projected = self._project_groups_batch(select, scope, batch, outer_env)
+        else:
+            projected = self._project_batch(select, scope, batch, outer_env)
         columns, rows, keys = projected
         if select.distinct:
             first: dict[tuple[Any, ...], int] = {}
@@ -524,34 +488,20 @@ class Engine:
             resolved.append((expr, None))
         return resolved
 
-    def _project_rows(
-        self, select: ast.Select, scope: Scope, envs: list[Env]
-    ) -> Projected:
-        items = self._expand_items(select, scope)
-        order = self._order_exprs(select, items)
-        columns = [name for _, name in items]
-        rows = []
-        keys: list[list[Any]] = [[] for _ in order]
-        for env in envs:
-            row = tuple(self._evaluator.evaluate(expr, env) for expr, _ in items)
-            rows.append(row)
-            for column, (expr, index) in zip(keys, order):
-                column.append(
-                    row[index] if expr is None else self._evaluator.evaluate(expr, env)
-                )
-        return columns, rows, keys
-
     def _project_batch(
-        self, select: ast.Select, scope: Scope, batch: Batch
-    ) -> Projected | None:
-        """Project a columnar batch with compiled row closures.
+        self,
+        select: ast.Select,
+        scope: Scope,
+        batch: Batch,
+        outer_env: Env | None,
+    ) -> Projected:
+        """Project a batch with row closures, row by row.
 
-        Returns None when any output or ORDER BY expression falls outside
-        the compilable subset (subquery, outer reference, unknown
-        function), in which case the caller materializes the batch and
-        takes the row projection.  When every output and ORDER BY
-        expression is a plain column — nothing can raise, so evaluation
-        order is unobservable — the rows are built column by column in C.
+        An output or ORDER BY expression outside the compiled subset
+        (subquery, outer reference, unknown function) is evaluated through
+        an Env per row.  When every output and ORDER BY expression is a
+        plain column — nothing can raise, so evaluation order is
+        unobservable — the rows are built column by column in C.
         """
         items = self._expand_items(select, scope)
         order = self._order_exprs(select, items)
@@ -574,22 +524,12 @@ class Engine:
                 for (_, index), position in zip(order, order_positions)
             ]
             return columns, rows, keys
-        item_fns = []
-        for expr, _ in items:
-            fn = compile_expr(expr, scope)
-            if fn is None:
-                return None
-            item_fns.append(fn)
-        #: int -> projected-column index; callable -> compiled expression.
-        order_keys: list[Any] = []
-        for expr, index in order:
-            if expr is None:
-                order_keys.append(index)
-                continue
-            fn = compile_expr(expr, scope)
-            if fn is None:
-                return None
-            order_keys.append(fn)
+        item_fns = [row_fn(expr, scope, self, outer_env) for expr, _ in items]
+        #: int -> projected-column index; callable -> the key's row closure.
+        order_keys: list[Any] = [
+            index if expr is None else row_fn(expr, scope, self, outer_env)
+            for expr, index in order
+        ]
         rows = []
         keys = [[] for _ in order_keys]
         for r in map(batch.rows.__getitem__, batch.sel):
@@ -609,50 +549,22 @@ class Engine:
         items = self._expand_items(select, scope)
         return items, self._order_exprs(select, items)
 
-    def _project_groups(
-        self,
-        select: ast.Select,
-        scope: Scope,
-        envs: list[Env],
-        outer_env: Env | None,
-    ) -> Projected:
-        items, order = self._group_items(select, scope)
-        groups: Iterable[list[Env]] = [envs]
-        if select.group_by:
-            by_key: dict[tuple[Any, ...], list[Env]] = {}
-            for env in envs:
-                key = tuple(
-                    self._evaluator.evaluate(expr, env) for expr in select.group_by
-                )
-                by_key.setdefault(key, []).append(env)
-            groups = by_key.values()
-        null_env = Env(scope, (None,) * len(scope), outer_env)
-        return self._emit_groups(
-            select,
-            items,
-            order,
-            ((group, group[0] if group else null_env) for group in groups),
-            None,
-        )
-
     def _project_groups_batch(
         self,
         select: ast.Select,
         scope: Scope,
         batch: Batch,
         outer_env: Env | None,
-    ) -> Projected | None:
-        """Group a columnar batch with compiled key and argument closures.
+    ) -> Projected:
+        """Group a batch with key and aggregate-argument row closures.
 
         Rows stay plain tuples; each group builds one :class:`Env`, for
-        its representative row.  Returns None (the row path then builds an
-        Env per row) when a GROUP BY key or an aggregate argument does not
-        compile — an outer reference or a subquery.
+        its representative row.  Only a GROUP BY key or an aggregate
+        argument outside the compiled subset — an outer reference or a
+        subquery — builds an Env per row, for that expression alone.
         """
         items, order = self._group_items(select, scope)
-        key_fns = [compile_expr(expr, scope) for expr in select.group_by]
-        if None in key_fns:
-            return None
+        key_fns = [row_fn(expr, scope, self, outer_env) for expr in select.group_by]
         arg_fns: dict[int, RowFn] = {}
         roots = [expr for expr, _ in items] + [e for e, _ in order if e is not None]
         if select.having is not None:
@@ -665,10 +577,7 @@ class Engine:
                     and len(node.args) == 1
                     and not isinstance(node.args[0], ast.Star)
                 ):
-                    fn = compile_expr(node.args[0], scope)
-                    if fn is None:
-                        return None
-                    arg_fns[id(node)] = fn
+                    arg_fns[id(node)] = row_fn(node.args[0], scope, self, outer_env)
         rows = batch.materialize()
         groups: Iterable[list[tuple[Any, ...]]] = [rows]
         if key_fns:
@@ -697,7 +606,7 @@ class Engine:
         items: list[tuple[ast.Expr, str]],
         order: list[tuple[ast.Expr | None, int | None]],
         groups: Iterable[tuple[list[Any], Env]],
-        arg_fns: dict[int, RowFn] | None,
+        arg_fns: dict[int, RowFn],
     ) -> Projected:
         """HAVING, output row and ORDER BY keys for each (group, its
         representative Env), in group order."""
@@ -717,43 +626,13 @@ class Engine:
                 )
         return [name for _, name in items], rows, keys
 
-    # -- plan interpretation --------------------------------------------------------
-
-    def _run_plan(
-        self, plan: PlanNode, outer_env: Env | None
-    ) -> tuple[Scope, list[tuple[Any, ...]]]:
-        kernel = getattr(plan, "_kernel", None)
-        if kernel is not None:
-            scope, batch = kernel(self, plan, outer_env)
-            return scope, batch.materialize()
-        if isinstance(plan, ScanNode):
-            return self._run_scan(plan, outer_env)
-        if isinstance(plan, FilterNode):
-            scope, rows = self._run_plan(plan.child, outer_env)
-            kept = [
-                row
-                for row in rows
-                if self._evaluator.is_true(plan.predicate, Env(scope, row, outer_env))
-            ]
-            return scope, kept
-        if isinstance(plan, HashJoinNode):
-            return self._run_hash_join(plan, outer_env)
-        if isinstance(plan, JoinNode):
-            return self._run_nested_join(plan, outer_env)
-        if isinstance(plan, ReorderNode):
-            return self._run_reorder(plan, outer_env)
-        raise ExecutionError(f"unknown plan node {type(plan).__name__}")
+    # -- plan execution --------------------------------------------------------------
 
     def _run_plan_batch(
         self, plan: PlanNode, outer_env: Env | None
     ) -> tuple[Scope, Batch]:
-        """Run a sub-plan as a batch: its kernel when it has one, else the
-        row path wrapped in a full-selection batch."""
-        kernel = getattr(plan, "_kernel", None)
-        if kernel is not None:
-            return kernel(self, plan, outer_env)
-        scope, rows = self._run_plan(plan, outer_env)
-        return scope, Batch(rows, range(len(rows)))
+        """Run a sub-plan through its kernel."""
+        return plan._kernel(self, plan, outer_env)
 
     def _scan_candidate_ids(self, plan: ScanNode, table: Any) -> set[int] | None:
         """Row ids selected by the scan's index hints (None = all rows)."""
@@ -787,131 +666,6 @@ class Engine:
                 ids = set(index.range_lookup(low=value, low_inclusive=op == ">="))
             candidate_ids = ids if candidate_ids is None else candidate_ids & ids
         return candidate_ids
-
-    def _run_scan(
-        self, plan: ScanNode, outer_env: Env | None
-    ) -> tuple[Scope, list[tuple[Any, ...]]]:
-        table = self._source().table(plan.table_name)
-        scope = Scope([(plan.binding, col) for col in table.schema.column_names])
-        candidate_ids = self._scan_candidate_ids(plan, table)
-        if candidate_ids is None:
-            rows: Iterable[tuple[Any, ...]] = table.rows()
-        else:
-            rows = (
-                row
-                for row_id in sorted(candidate_ids)
-                if (row := table.row_by_id(row_id)) is not None
-            )
-        if plan.residual_filters:
-            out = [
-                row
-                for row in rows
-                if all(
-                    self._evaluator.is_true(pred, Env(scope, row, outer_env))
-                    for pred in plan.residual_filters
-                )
-            ]
-        else:
-            out = list(rows)
-        return scope, out
-
-    def _run_reorder(
-        self, plan: ReorderNode, outer_env: Env | None
-    ) -> tuple[Scope, list[tuple[Any, ...]]]:
-        scope, rows = self._run_plan(plan.child, outer_env)
-        # Each binding's columns occupy one contiguous segment of the row.
-        segments: dict[str, tuple[int, int]] = {}
-        for i, (binding, _) in enumerate(scope.entries):
-            start, _end = segments.get(binding, (i, i))
-            segments[binding] = (start, i + 1)
-        slices = [slice(*segments[binding]) for binding in plan.order]
-        entries: list[tuple[str, str]] = []
-        for binding in plan.order:
-            start, end = segments[binding]
-            entries.extend(scope.entries[start:end])
-        out = [
-            tuple(value for s in slices for value in row[s]) for row in rows
-        ]
-        return Scope(entries), out
-
-    def _run_nested_join(
-        self, plan: JoinNode, outer_env: Env | None
-    ) -> tuple[Scope, list[tuple[Any, ...]]]:
-        left_scope, left_rows = self._run_plan(plan.left, outer_env)
-        right_scope, right_rows = self._run_plan(plan.right, outer_env)
-        scope = left_scope.merge(right_scope)
-        null_pad = tuple([None] * len(right_scope))
-        out = []
-        for left_row in left_rows:
-            matched = False
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if plan.condition is None or self._evaluator.is_true(
-                    plan.condition, Env(scope, combined, outer_env)
-                ):
-                    matched = True
-                    out.append(combined)
-            if plan.kind == "LEFT" and not matched:
-                out.append(left_row + null_pad)
-        return scope, out
-
-    def _run_hash_join(
-        self, plan: HashJoinNode, outer_env: Env | None
-    ) -> tuple[Scope, list[tuple[Any, ...]]]:
-        left_scope, left_rows = self._run_plan(plan.left, outer_env)
-        right_scope, right_rows = self._run_plan(plan.right, outer_env)
-        scope = left_scope.merge(right_scope)
-        buckets: dict[Any, list[tuple[Any, ...]]] = {}
-        if plan.build == "left" and plan.kind == "INNER":
-            # Statistics said the left input is smaller: build the hash
-            # table on it and probe with right rows.  Output tuples keep
-            # the left+right column order either way.
-            for left_row in left_rows:
-                key = self._evaluator.evaluate(
-                    plan.left_key, Env(left_scope, left_row, outer_env)
-                )
-                if key is None:
-                    continue
-                buckets.setdefault(key, []).append(left_row)
-            out = []
-            for right_row in right_rows:
-                key = self._evaluator.evaluate(
-                    plan.right_key, Env(right_scope, right_row, outer_env)
-                )
-                if key is None:
-                    continue
-                for left_row in buckets.get(key, []):
-                    combined = left_row + right_row
-                    if plan.residual is None or self._evaluator.is_true(
-                        plan.residual, Env(scope, combined, outer_env)
-                    ):
-                        out.append(combined)
-            return scope, out
-        for right_row in right_rows:
-            key = self._evaluator.evaluate(
-                plan.right_key, Env(right_scope, right_row, outer_env)
-            )
-            if key is None:
-                continue
-            buckets.setdefault(key, []).append(right_row)
-        null_pad = tuple([None] * len(right_scope))
-        out = []
-        for left_row in left_rows:
-            key = self._evaluator.evaluate(
-                plan.left_key, Env(left_scope, left_row, outer_env)
-            )
-            matched = False
-            if key is not None:
-                for right_row in buckets.get(key, []):
-                    combined = left_row + right_row
-                    if plan.residual is None or self._evaluator.is_true(
-                        plan.residual, Env(scope, combined, outer_env)
-                    ):
-                        matched = True
-                        out.append(combined)
-            if plan.kind == "LEFT" and not matched:
-                out.append(left_row + null_pad)
-        return scope, out
 
     # -- DDL / DML ---------------------------------------------------------------------
 
@@ -961,11 +715,12 @@ class Engine:
         return ResultSet(["rows_affected"], [(count,)])
 
     def _matching_row_ids(self, table_name: str, where: ast.Expr | None) -> list[int]:
-        """Row ids matching a DML WHERE clause, via the scan-planning path.
+        """Row ids matching a DML WHERE clause, through the scan kernel.
 
-        The predicate goes through the same index-hint installation as a
-        SELECT scan, so UPDATE/DELETE on an indexed column avoids the full
-        table scan.
+        The predicate goes through the same index-hint installation and
+        scan kernel as a SELECT scan, so UPDATE/DELETE on an indexed column
+        avoids the full table scan and other conjuncts get fused selectors.
+        Positions in the table's batch storage are its row ids.
         """
         table = self.database.table(table_name)
         scan = ScanNode(table.name, table.name)
@@ -974,24 +729,9 @@ class Engine:
             scan.residual_filters = split_conjuncts(qualify_expr(where, bindings))
         if self.use_optimizer and self.use_indexes:
             install_index_hints(scan, self.database)
-        scope = Scope([(table.name, col) for col in table.schema.column_names])
-        candidate_ids = self._scan_candidate_ids(scan, table)
-        if candidate_ids is None:
-            pairs: Iterable[tuple[int, tuple[Any, ...]]] = table.rows_with_ids()
-        else:
-            pairs = (
-                (row_id, row)
-                for row_id in sorted(candidate_ids)
-                if (row := table.row_by_id(row_id)) is not None
-            )
-        out = []
-        for row_id, row in pairs:
-            if all(
-                self._evaluator.is_true(pred, Env(scope, row))
-                for pred in scan.residual_filters
-            ):
-                out.append(row_id)
-        return out
+        install_kernels(scan, self.database)
+        _scope, batch = self._run_plan_batch(scan, None)
+        return list(batch.sel)
 
     def _execute_delete(self, stmt: ast.Delete) -> ResultSet:
         table = self.database.table(stmt.table)

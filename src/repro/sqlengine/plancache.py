@@ -142,7 +142,6 @@ class _Entry:
         "plan",
         "has_plan",
         "plan_stamps",
-        "plan_columnar",
         "columns",
         "rows",
         "result_stamps",
@@ -155,10 +154,6 @@ class _Entry:
         #: ``{table: version}`` at plan-build time; None = no plan stored.
         #: An empty dict is valid forever (table-less ``SELECT 1``).
         self.plan_stamps: dict[str, int] | None = None
-        #: Whether the stored plan carries columnar kernels — part of the
-        #: plan's validity stamp, so toggling ``Engine.use_columnar`` can
-        #: never serve a plan compiled for the other execution mode.
-        self.plan_columnar = False
         self.columns: tuple[str, ...] | None = None
         self.rows: tuple[tuple[Any, ...], ...] | None = None
         self.result_stamps: dict[str, int] | None = None
@@ -215,20 +210,18 @@ class PlanCache:
     # -- optimized plans ---------------------------------------------------
 
     def plan(
-        self, text: str, version_of: VersionLookup, columnar: bool = False
+        self, text: str, version_of: VersionLookup
     ) -> tuple[bool, PlanNode | None]:
         """Return ``(hit, plan)`` — the plan may legitimately be None.
 
         ``version_of`` maps a table name to its current stamp (or None when
-        dropped); the hit requires every dependency stamp to match, and the
-        stored plan's execution mode (``columnar``) to match the request.
+        dropped); the hit requires every dependency stamp to match.
         """
         with self._lock:
             entry = self._entries.get(text)
             if (
                 entry is not None
                 and entry.has_plan
-                and entry.plan_columnar == columnar
                 and _stamps_current(entry.plan_stamps, version_of)
             ):
                 self.stats["plan_hits"] += 1
@@ -237,11 +230,7 @@ class PlanCache:
             return False, None
 
     def store_plan(
-        self,
-        text: str,
-        stamps: Mapping[str, int],
-        plan: PlanNode | None,
-        columnar: bool = False,
+        self, text: str, stamps: Mapping[str, int], plan: PlanNode | None
     ) -> None:
         """Cache ``plan`` with its dependency stamps (``{table: version}``)."""
         with self._lock:
@@ -250,7 +239,6 @@ class PlanCache:
             entry.plan = plan
             entry.has_plan = True
             entry.plan_stamps = dict(stamps)
-            entry.plan_columnar = columnar
 
     # -- materialized results ----------------------------------------------
 

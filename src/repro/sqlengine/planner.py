@@ -49,9 +49,6 @@ class ScanNode(PlanNode):
     range_filters: list[tuple[str, str, Any]] = field(default_factory=list)
     in_filters: list[tuple[str, tuple[Any, ...]]] = field(default_factory=list)
     residual_filters: list[ast.Expr] = field(default_factory=list)
-    #: True when the executor attached a columnar kernel to this node
-    #: (set by :func:`repro.sqlengine.columnar.install_kernels`).
-    columnar: bool = field(default=False, compare=False)
 
     def bindings(self) -> list[str]:
         return [self.binding]
@@ -67,8 +64,6 @@ class ScanNode(PlanNode):
             hints.append("in=" + ",".join(c for c, _ in self.in_filters))
         if self.residual_filters:
             hints.append(f"residual={len(self.residual_filters)}")
-        if self.columnar:
-            hints.append("columnar=true")
         tail = f" [{' '.join(hints)}]" if hints else ""
         return f"{pad}Scan({self.table_name} AS {self.binding}){tail}"
 
@@ -113,7 +108,6 @@ class HashJoinNode(PlanNode):
     build: str = "right"  # left | right
     est_left: float | None = None
     est_right: float | None = None
-    columnar: bool = field(default=False, compare=False)
 
     def bindings(self) -> list[str]:
         return self.left.bindings() + self.right.bindings()
@@ -124,9 +118,8 @@ class HashJoinNode(PlanNode):
         est = ""
         if self.est_left is not None and self.est_right is not None:
             est = f" est={self.est_left:.0f}x{self.est_right:.0f}"
-        col = " columnar=true" if self.columnar else ""
         return (
-            f"{pad}HashJoin[{self.kind} build={self.build}{est}{col}] "
+            f"{pad}HashJoin[{self.kind} build={self.build}{est}] "
             f"{self.left_key.render()} = {self.right_key.render()}{res}\n"
             f"{self.left.describe(indent + 1)}\n{self.right.describe(indent + 1)}"
         )
@@ -144,16 +137,14 @@ class ReorderNode(PlanNode):
 
     child: PlanNode
     order: tuple[str, ...]  # binding order to present
-    columnar: bool = field(default=False, compare=False)
 
     def bindings(self) -> list[str]:
         return list(self.order)
 
     def describe(self, indent: int = 0) -> str:
         pad = "  " * indent
-        col = " [columnar=true]" if self.columnar else ""
         return (
-            f"{pad}Reorder({', '.join(self.order)}){col}\n"
+            f"{pad}Reorder({', '.join(self.order)})\n"
             f"{self.child.describe(indent + 1)}"
         )
 
@@ -164,16 +155,14 @@ class FilterNode(PlanNode):
 
     child: PlanNode
     predicate: ast.Expr
-    columnar: bool = field(default=False, compare=False)
 
     def bindings(self) -> list[str]:
         return self.child.bindings()
 
     def describe(self, indent: int = 0) -> str:
         pad = "  " * indent
-        col = " [columnar=true]" if self.columnar else ""
         return (
-            f"{pad}Filter({self.predicate.render()}){col}\n"
+            f"{pad}Filter({self.predicate.render()})\n"
             f"{self.child.describe(indent + 1)}"
         )
 

@@ -1,20 +1,21 @@
-"""Row-vs-columnar differential harness.
+"""Batch-kernel vs row-interpreter differential harness.
 
-The columnar batch executor (`repro.sqlengine.columnar`) must be
-*observably identical* to the row interpreter: the same rows, in the same
-order, under the same column names, from the same optimizer plan — and
-when a query errors, the same error.  This suite proves it two ways:
+The engine runs every plan node as a batch kernel
+(`repro.sqlengine.columnar`); an expression outside the compiled subset
+is evaluated through an Env per row inside its kernel.  It must be
+*observably identical* to the row interpreter kept test-only in
+``tests/row_engine_reference.py``: the same rows, in the same order,
+under the same column names, from the same optimizer plan — and when a
+query errors, the same error.  This suite proves it two ways:
 
 * **corpus sweep** — every SELECT in the five domain corpora (t1–t5 gold
-  SQL, wild questions and dialogue turns) runs through a row engine and a
-  columnar engine over one shared database, comparing results and the
-  EXPLAIN plan (modulo the ``columnar=true`` annotations, which are the
-  only rendering the two modes may legitimately differ in);
+  SQL, wild questions and dialogue turns) runs through the engine and
+  the reference over one shared database, comparing results and EXPLAIN;
 * **hypothesis sweep** — generated SELECTs over a NULL-heavy two-table
   schema: filters in all compiled shapes (comparisons, BETWEEN, IN,
   LIKE, IS NULL, AND/OR/NOT), arithmetic that can raise, inner/left
   joins, aggregates and grouping, ORDER BY/LIMIT, and subqueries that
-  force the row-path fallback.  Hypothesis shrinks any mismatch to a
+  take the per-row Env path.  Hypothesis shrinks any mismatch to a
   minimal failing query.
 """
 
@@ -25,17 +26,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import ALL_DOMAINS, load_bundle
-from repro.sqlengine import Database, Engine
-
-
-def _strip_columnar(plan: str) -> str:
-    """EXPLAIN text without the columnar annotations.
-
-    ``columnar=true`` is the *only* EXPLAIN difference the two modes are
-    allowed to have; everything else (join order, build side, estimates,
-    index hints, residual counts) must match exactly.
-    """
-    return plan.replace(" [columnar=true]", "").replace(" columnar=true", "")
+from repro.sqlengine import Database, Engine, expressions, parse_sql
+from tests.row_engine_reference import RowEngine
 
 
 def _outcome(engine: Engine, sql: str):
@@ -47,18 +39,22 @@ def _outcome(engine: Engine, sql: str):
     return ("ok", tuple(result.columns), tuple(result.rows))
 
 
-def assert_identical(row_engine: Engine, col_engine: Engine, sql: str) -> None:
-    row_out = _outcome(row_engine, sql)
-    col_out = _outcome(col_engine, sql)
-    assert row_out == col_out, (
-        f"row/columnar divergence for {sql!r}:\n row: {row_out}\n col: {col_out}"
-    )
-    if row_out[0] == "ok":
-        row_plan = row_engine.explain(sql)
-        col_plan = col_engine.explain(sql)
-        assert row_plan == _strip_columnar(col_plan), (
-            f"plan divergence for {sql!r}:\n row: {row_plan}\n col: {col_plan}"
-        )
+def assert_identical(reference: RowEngine, engine: Engine, sql: str) -> None:
+    expected = _outcome(reference, sql)
+    actual = _outcome(engine, sql)
+    assert expected == actual, f"{sql!r}:\n row: {expected}\n batch: {actual}"
+    if expected[0] == "ok":
+        assert reference.explain(sql) == engine.explain(sql), sql
+
+
+def _plan_nodes(plan):
+    """Every node of ``plan``, parents first."""
+    if plan is None:
+        return
+    yield plan
+    for child in ("left", "right", "child"):
+        if hasattr(plan, child):
+            yield from _plan_nodes(getattr(plan, child))
 
 
 # ==========================================================================
@@ -76,14 +72,28 @@ def _bundle_selects(bundle) -> list[str]:
 
 
 @pytest.mark.parametrize("domain", ALL_DOMAINS)
-def test_corpus_gold_sql_identical_across_paths(domain):
+def test_corpus_gold_sql_identical_across_paths(domain, monkeypatch):
     bundle = load_bundle(domain)
-    row_engine = Engine(bundle.database, use_columnar=False)
-    col_engine = Engine(bundle.database, use_columnar=True)
+    reference = RowEngine(bundle.database)
+    engine = Engine(bundle.database)
+    plans = []
+    real_plan_for = engine._plan_for
+
+    def plan_for(*args, **kwargs):
+        plans.append(real_plan_for(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(engine, "_plan_for", plan_for)
     selects = _bundle_selects(bundle)
     assert selects, f"domain {domain} contributed no SELECTs"
     for sql in selects:
-        assert_identical(row_engine, col_engine, sql)
+        assert_identical(reference, engine, sql)
+    # One executor: every node of every plan the engine ran, subquery
+    # plans included, has a kernel.
+    assert plans
+    for plan in plans:
+        for node in _plan_nodes(plan):
+            assert hasattr(node, "_kernel"), node.describe()
 
 
 def test_corpus_sweep_is_substantial():
@@ -135,7 +145,7 @@ def engines():
         "INSERT INTO q VALUES (10, 1.0, 'a'), (11, 2.5, 'b'), (12, NULL, 'c'), "
         "(13, 3.0, 'd'), (14, 1.0, 'e'), (15, NULL, 'f')"
     )
-    return Engine(db, use_columnar=False), Engine(db, use_columnar=True)
+    return RowEngine(db), Engine(db)
 
 
 _NUM_COLS = ["t.id", "t.a", "t.b", "u.n"]
@@ -146,9 +156,7 @@ _num_literal = st.one_of(
     st.integers(-6, 20),
     st.sampled_from([0.0, 1.5, -3.0, 7.5]),
 )
-_text_literal = st.sampled_from(
-    [f"'{w}'" for w in _WORDS] + ["'alpha 3'", "'%'", "''"]
-)
+_text_literal = st.sampled_from([f"'{w}'" for w in _WORDS] + ["'alpha 3'", "'%'", "''"])
 
 
 @st.composite
@@ -187,14 +195,16 @@ def _atom(draw, cols):
         if column in _TEXT_COLS:
             items = draw(st.lists(_text_literal, min_size=1, max_size=4))
         else:
-            items = [str(v) for v in draw(st.lists(_num_literal, min_size=1, max_size=4))]
+            values = draw(st.lists(_num_literal, min_size=1, max_size=4))
+            items = [str(v) for v in values]
             if draw(st.booleans()):
                 items.append("NULL")  # three-valued IN semantics
         negated = draw(st.booleans())
         return f"{column} {'NOT ' if negated else ''}IN ({', '.join(items)})"
     if kind == "like":
         target = draw(st.sampled_from([c for c in cols if c in _TEXT_COLS] or cols))
-        pattern = draw(st.sampled_from(["'al%'", "'%a'", "'%et%'", "'alpha _'", "'%'"]))
+        patterns = ["'al%'", "'%a'", "'%et%'", "'alpha _'", "'%'"]
+        pattern = draw(st.sampled_from(patterns))
         negated = draw(st.booleans())
         return f"{target} {'NOT ' if negated else ''}LIKE {pattern}"
     # arith: expressions that can divide by zero — error parity coverage
@@ -236,11 +246,11 @@ def test_hypothesis_single_table(engines, data):
         )
     )
     distinct = "DISTINCT " if data.draw(st.booleans()) else ""
-    order = data.draw(st.sampled_from(["", " ORDER BY t.id", " ORDER BY t.a DESC, t.id"]))
+    orders = ["", " ORDER BY t.id", " ORDER BY t.a DESC, t.id"]
+    order = data.draw(st.sampled_from(orders))
     limit = data.draw(st.sampled_from(["", " LIMIT 7"]))
     sql = f"SELECT {distinct}{items} FROM t WHERE {where}{order}{limit}"
-    row_engine, col_engine = engines
-    assert_identical(row_engine, col_engine, sql)
+    assert_identical(*engines, sql)
 
 
 @_differential_settings
@@ -258,8 +268,7 @@ def test_hypothesis_joins(engines, data):
         f"SELECT {items} FROM t {kind} u ON u.t_id = t.id{extra} "
         f"WHERE {where}{order}"
     )
-    row_engine, col_engine = engines
-    assert_identical(row_engine, col_engine, sql)
+    assert_identical(*engines, sql)
 
 
 @_differential_settings
@@ -267,13 +276,16 @@ def test_hypothesis_joins(engines, data):
 def test_hypothesis_aggregates_and_subqueries(engines, data):
     shape = data.draw(st.sampled_from(["agg", "group", "subquery", "scalar_sub"]))
     where = data.draw(_predicate(["t.id", "t.a", "t.b", "t.s"], max_depth=1))
-    row_engine, col_engine = engines
     if shape == "agg":
-        agg = data.draw(
-            st.sampled_from(
-                ["COUNT(*)", "COUNT(t.a)", "SUM(t.a)", "AVG(t.b)", "MIN(t.s)", "MAX(t.a)"]
-            )
-        )
+        aggregates = [
+            "COUNT(*)",
+            "COUNT(t.a)",
+            "SUM(t.a)",
+            "AVG(t.b)",
+            "MIN(t.s)",
+            "MAX(t.a)",
+        ]
+        agg = data.draw(st.sampled_from(aggregates))
         sql = f"SELECT {agg} FROM t WHERE {where}"
     elif shape == "group":
         having = data.draw(st.sampled_from(["", " HAVING COUNT(*) > 2"]))
@@ -292,7 +304,7 @@ def test_hypothesis_aggregates_and_subqueries(engines, data):
             f"SELECT t.id, (SELECT MAX(u.n) FROM u WHERE u.t_id = t.id) "
             f"FROM t WHERE {where} ORDER BY t.id LIMIT 10"
         )
-    assert_identical(row_engine, col_engine, sql)
+    assert_identical(*engines, sql)
 
 
 # ==========================================================================
@@ -308,13 +320,13 @@ PINNED = [
     # Type mismatches surface as NULL comparisons, not errors.
     "SELECT t.id FROM t WHERE t.s > 5",
     "SELECT t.id FROM t WHERE t.flag = 'yes'",
-    # LIKE on a non-text operand must raise in both modes.
+    # LIKE on a non-text operand must raise on both engines.
     "SELECT t.id FROM t WHERE t.a LIKE 'a%'",
     # Numeric join keys: 1 = 1.0 bucketing parity.
     "SELECT t.id, u.id FROM t JOIN u ON u.n = t.b ORDER BY t.id, u.id",
-    # DISTINCT + ORDER BY ordinal + LIMIT over the columnar projection.
+    # DISTINCT + ORDER BY ordinal + LIMIT over the batch projection.
     "SELECT DISTINCT t.a FROM t WHERE t.a IS NOT NULL ORDER BY 1 LIMIT 5",
-    # Unqualified columns (single-table scope) compile; ambiguity falls back.
+    # Unqualified columns (single-table scope) compile.
     "SELECT id, a FROM t WHERE a BETWEEN 0 AND 9 ORDER BY id",
     # Scalar functions in filters and projections.
     "SELECT t.id, length(t.s) FROM t WHERE lower(t.s) LIKE 'a%' ORDER BY t.id",
@@ -322,45 +334,153 @@ PINNED = [
     "SELECT t.id, t.s FROM t WHERE t.a > 999",
 ]
 
+#: The set {13, 14, 16, 17}, used by the pins that mix compiled and
+#: uncompiled expressions in one node.
+_IN_SUB = "q.id IN (SELECT x.id + 12 FROM p AS x WHERE x.k IS NOT NULL)"
+
 #: Pins whose answer is written out, so the two engines cannot drift
 #: together: the rows in order, or the error both must raise.
-EXPECTED: dict[str, tuple] = {
+_EXPECTED_PINS = [
     # Hash join without key normalisation: INT 1 meets FLOAT 1.0 because
     # equal numbers hash equal.  Built on p (probe order = q's rows) ...
-    "SELECT p.id, q.id FROM p JOIN q ON p.k = q.k": (
-        (1, 10), (5, 10), (4, 13), (1, 14), (5, 14),
+    (
+        "SELECT p.id, q.id FROM p JOIN q ON p.k = q.k",
+        ((1, 10), (5, 10), (4, 13), (1, 14), (5, 14)),
     ),
     # ... and built on p from the right (probe order = q's rows again).
-    "SELECT q.id, p.id FROM q JOIN p ON q.k = p.k": (
-        (10, 1), (10, 5), (13, 4), (14, 1), (14, 5),
+    (
+        "SELECT q.id, p.id FROM q JOIN p ON q.k = p.k",
+        ((10, 1), (10, 5), (13, 4), (14, 1), (14, 5)),
     ),
     # NULL keys never match, not even each other.
-    "SELECT p.id FROM p JOIN q ON p.k = q.k WHERE q.k IS NULL": (),
+    ("SELECT p.id FROM p JOIN q ON p.k = q.k WHERE q.k IS NULL", ()),
     # LEFT JOIN pads unmatched and NULL-keyed rows, with and without a
     # residual.
-    "SELECT p.id, q.id, q.note FROM p LEFT JOIN q ON p.k = q.k": (
-        (1, 10, "a"), (1, 14, "e"), (2, None, None), (3, None, None),
-        (4, 13, "d"), (5, 10, "a"), (5, 14, "e"),
+    (
+        "SELECT p.id, q.id, q.note FROM p LEFT JOIN q ON p.k = q.k",
+        (
+            (1, 10, "a"),
+            (1, 14, "e"),
+            (2, None, None),
+            (3, None, None),
+            (4, 13, "d"),
+            (5, 10, "a"),
+            (5, 14, "e"),
+        ),
     ),
-    "SELECT p.id, q.id FROM p LEFT JOIN q ON p.k = q.k AND q.id > 10": (
-        (1, 14), (2, None), (3, None), (4, 13), (5, 14),
+    (
+        "SELECT p.id, q.id FROM p LEFT JOIN q ON p.k = q.k AND q.id > 10",
+        ((1, 14), (2, None), (3, None), (4, 13), (5, 14)),
     ),
     # An aggregate over an outer column inside a correlated subquery: the
-    # argument does not compile, so grouping keeps one Env per row.
-    "SELECT p.id, (SELECT SUM(p.k) FROM q WHERE q.k = p.k) AS s "
-    "FROM p ORDER BY p.id": ((1, 2), (2, None), (3, None), (4, 3), (5, 2)),
-    "SELECT SUM(p.tag) FROM p": (
-        "error", "ExecutionError", "sum() requires numeric input, got 'one'",
+    # argument does not compile, so it builds one Env per row.
+    (
+        "SELECT p.id, (SELECT SUM(p.k) FROM q WHERE q.k = p.k) AS s "
+        "FROM p ORDER BY p.id",
+        ((1, 2), (2, None), (3, None), (4, 3), (5, 2)),
+    ),
+    (
+        "SELECT SUM(p.tag) FROM p",
+        ("error", "ExecutionError", "sum() requires numeric input, got 'one'"),
     ),
     # NULL is a group key like any other; groups come in first-seen order.
-    "SELECT p.k, COUNT(*) FROM p GROUP BY p.k": ((1, 2), (2, 1), (None, 1), (3, 1)),
-    "SELECT q.k, COUNT(*), MIN(q.note) FROM q GROUP BY q.k ORDER BY 2 DESC, 1": (
-        (None, 2, "c"), (1.0, 2, "a"), (2.5, 1, "b"), (3.0, 1, "d"),
+    (
+        "SELECT p.k, COUNT(*) FROM p GROUP BY p.k",
+        ((1, 2), (2, 1), (None, 1), (3, 1)),
     ),
-    "SELECT COUNT(*), AVG(p.k) FROM p WHERE p.id > 99": ((0, None),),
+    (
+        "SELECT q.k, COUNT(*), MIN(q.note) FROM q GROUP BY q.k ORDER BY 2 DESC, 1",
+        ((None, 2, "c"), (1.0, 2, "a"), (2.5, 1, "b"), (3.0, 1, "d")),
+    ),
+    ("SELECT COUNT(*), AVG(p.k) FROM p WHERE p.id > 99", ((0, None),)),
     # HAVING on an aggregate the select list does not carry.
-    "SELECT p.k FROM p GROUP BY p.k HAVING SUM(p.id) > 3": ((1,), (3,)),
-}
+    ("SELECT p.k FROM p GROUP BY p.k HAVING SUM(p.id) > 3", ((1,), (3,))),
+    # Below: nodes mixing compiled expressions with ones evaluated through
+    # an Env per row.  A hash-join residual holding a subquery, INNER
+    # (built on p, probed in q's order) and LEFT (probed in p's order,
+    # unmatched rows padded).
+    (
+        f"SELECT p.id, q.id FROM p JOIN q ON p.k = q.k AND {_IN_SUB}",
+        ((4, 13), (1, 14), (5, 14)),
+    ),
+    (
+        f"SELECT p.id, q.id FROM p LEFT JOIN q ON p.k = q.k AND {_IN_SUB}",
+        ((1, 14), (2, None), (3, None), (4, 13), (5, 14)),
+    ),
+    # Nested-loop joins (no equi conjunct): left-major, right-minor order,
+    # LEFT rows padded, with a compiled condition and with a subquery in it.
+    (
+        "SELECT p.id, q.id FROM p JOIN q ON p.k < q.k",
+        ((1, 11), (1, 13), (2, 11), (2, 13), (5, 11), (5, 13)),
+    ),
+    (
+        "SELECT p.id, q.id FROM p LEFT JOIN q ON p.k > q.k",
+        (
+            (1, None),
+            (2, 10),
+            (2, 14),
+            (3, None),
+            (4, 10),
+            (4, 11),
+            (4, 14),
+            (5, None),
+        ),
+    ),
+    (
+        f"SELECT p.id, q.id FROM p JOIN q ON p.k < q.k AND {_IN_SUB}",
+        ((1, 13), (2, 13), (5, 13)),
+    ),
+    (
+        f"SELECT p.id, q.id FROM p LEFT JOIN q ON p.k > q.k AND {_IN_SUB}",
+        ((1, None), (2, 14), (3, None), (4, 14), (5, None)),
+    ),
+    # A compiled scan conjunct beside a subquery conjunct, in both orders
+    # (the scan takes the compiled one, a filter the subquery).
+    (
+        "SELECT p.id FROM p WHERE p.k > 1 AND p.id IN (SELECT q.id - 9 FROM q)",
+        ((2,), (4,)),
+    ),
+    (
+        "SELECT p.id FROM p WHERE p.id IN (SELECT q.id - 9 FROM q) AND p.k > 1",
+        ((2,), (4,)),
+    ),
+    # A NULL from an uncompiled predicate rejects the row, as FALSE does.
+    ("SELECT p.id FROM p WHERE p.k IN (SELECT q.k FROM q)", ((1,), (4,), (5,))),
+    ("SELECT p.id FROM p WHERE p.k NOT IN (SELECT q.k FROM q)", ()),
+    # A correlated inner query: its compiled conjunct runs in the scan,
+    # the outer reference through an Env over the outer row.
+    (
+        "SELECT p.id, (SELECT COUNT(*) FROM q WHERE q.k = p.k AND q.id > 10) "
+        "FROM p ORDER BY p.id",
+        ((1, 1), (2, 0), (3, 0), (4, 1), (5, 1)),
+    ),
+    (
+        "SELECT p.id FROM p WHERE EXISTS "
+        "(SELECT q.id FROM q WHERE q.note > 'b' AND q.k = p.k)",
+        ((1,), (4,), (5,)),
+    ),
+    # A correlated subquery beside a plain column: no column-wise zip.
+    (
+        "SELECT p.tag, (SELECT MIN(q.note) FROM q WHERE q.k = p.k) FROM p",
+        (("one", "a"), ("two", None), ("none", None), ("three", "d"), ("uno", "a")),
+    ),
+    # Aggregate arguments holding a subquery, correlated and not.
+    (
+        "SELECT p.k, SUM((SELECT COUNT(*) FROM q WHERE q.k = p.k)) FROM p "
+        "GROUP BY p.k",
+        ((1, 4), (2, 0), (None, 0), (3, 1)),
+    ),
+    (
+        "SELECT COUNT(*), MAX(p.id + (SELECT MIN(q.id) FROM q)) FROM p",
+        ((5, 15),),
+    ),
+    # An uncompiled predicate raises exactly where the evaluator does.
+    (
+        "SELECT p.id FROM p WHERE p.k > 1 AND p.id = (SELECT q.id FROM q)",
+        ("error", "ExecutionError", "scalar subquery returned more than one row"),
+    ),
+]
+EXPECTED: dict[str, tuple] = dict(_EXPECTED_PINS)
 PINNED += list(EXPECTED)
 
 
@@ -371,38 +491,76 @@ def _answer(engine: Engine, sql: str) -> tuple:
 
 @pytest.mark.parametrize("sql", PINNED)
 def test_pinned_parity(engines, sql):
-    row_engine, col_engine = engines
-    assert_identical(row_engine, col_engine, sql)
+    assert_identical(*engines, sql)
     if sql in EXPECTED:
-        assert _answer(col_engine, sql) == EXPECTED[sql]
-        assert _answer(row_engine, sql) == EXPECTED[sql]
+        for engine in engines:
+            assert _answer(engine, sql) == EXPECTED[sql]
 
 
 def test_pinned_joins_cover_both_build_sides(engines):
-    _, col_engine = engines
-    assert "build=left" in col_engine.explain(
+    engine = engines[1]
+    assert "build=left" in engine.explain(
         "SELECT p.id, q.id FROM p JOIN q ON p.k = q.k"
     )
-    assert "build=right" in col_engine.explain(
+    assert "build=right" in engine.explain(
         "SELECT q.id, p.id FROM q JOIN p ON q.k = p.k"
     )
+    assert "NestedLoopJoin[LEFT]" in engine.explain(
+        "SELECT p.id, q.id FROM p LEFT JOIN q ON p.k > q.k"
+    )
+
+
+#: DML WHERE clauses over p and the row ids they match (p's rows sit at
+#: positions 0-4 in id order), or the error both engines raise.
+DML_WHERE = {
+    "p.k > 1 AND p.id IN (SELECT q.id - 9 FROM q)": [1, 3],
+    "p.id IN (SELECT q.id - 9 FROM q) AND p.k > 1": [1, 3],
+    "p.id = 5 AND p.k IN (SELECT q.k FROM q)": [4],
+    "p.k IN (SELECT q.k FROM q WHERE q.k IS NOT NULL)": [0, 3, 4],
+    "p.k NOT IN (SELECT q.k FROM q)": [],
+    "p.k > 0 AND p.id = (SELECT q.id FROM q)": (
+        "ExecutionError",
+        "scalar subquery returned more than one row",
+    ),
+}
+
+
+@pytest.mark.parametrize("where", DML_WHERE)
+def test_dml_where_matches_reference(engines, where):
+    predicate = parse_sql(f"DELETE FROM p WHERE {where}").where
+    answers = []
+    for engine in engines:
+        try:
+            answers.append(engine._matching_row_ids("p", predicate))
+        except Exception as exc:  # noqa: BLE001 - parity covers every error
+            answers.append((type(exc).__name__, str(exc)))
+    assert answers == [DML_WHERE[where]] * 2
 
 
 def test_aggregates_group_env_free_unless_an_argument_cannot_compile(
     engines, monkeypatch
 ):
-    """A columnar engine groups raw row tuples; only an aggregate whose
-    argument is an outer reference falls back to one Env per row."""
-    database = engines[1].database
-    engine = Engine(database, use_columnar=True)
-    env_path = []
-    real = engine._project_groups
-    monkeypatch.setattr(
-        engine, "_project_groups", lambda *args: env_path.append(args) or real(*args)
-    )
+    """Grouping builds one Env per group, for its representative row; an
+    expression that does not compile adds one Env per row it evaluates."""
+    made = []
+
+    class CountingEnv(expressions.Env):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    for module in ("executor", "columnar"):
+        monkeypatch.setattr(f"repro.sqlengine.{module}.Env", CountingEnv)
+    engine = Engine(engines[1].database)
     engine.execute("SELECT p.k, COUNT(*), SUM(p.id) FROM p GROUP BY p.k")
-    assert env_path == []
+    assert len(made) == 4  # one per group
+    made.clear()
     engine.execute(
         "SELECT p.id, (SELECT SUM(p.k) FROM q WHERE q.k = p.k) FROM p ORDER BY p.id"
     )
-    assert len(env_path) == 5  # the subquery, once per outer row
+    # Per outer row: 1 for the subquery item, 6 for the inner filter's
+    # outer reference (one per q row), 1 for the inner group; plus 5 in
+    # all for SUM(p.k) over the inner rows that matched (2+0+0+1+2).
+    assert len(made) == 5 * (1 + 6 + 1) + 5

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.errors import IntegrityError, PlanError, SchemaError
+from repro.errors import ExecutionError, IntegrityError, PlanError, SchemaError
 from repro.sqlengine import Database, Engine
 from repro.sqlengine.csvio import dump_csv, load_csv
 
@@ -327,6 +327,61 @@ class TestDmlUsesIndexes:
             "UPDATE t SET tag = 'max' WHERE v = (SELECT MAX(v) FROM t)"
         )
         assert engine.execute("SELECT COUNT(*) FROM t WHERE tag = 'max'").scalar() == 1
+
+
+class TestDmlWhereThroughScanKernel:
+    """A DML WHERE runs through the SELECT scan kernel: compiled conjuncts
+    as selectors, a subquery conjunct through an Env per row."""
+
+    def _engine(self):
+        engine = Engine(Database())
+        engine.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, tag TEXT)")
+        engine.execute("CREATE TABLE keep (id INT PRIMARY KEY)")
+        engine.execute(
+            "INSERT INTO t VALUES (1, 10, 'a'), (2, 20, 'b'), (3, 30, 'a'), "
+            "(4, 40, 'a')"
+        )
+        engine.execute("INSERT INTO keep VALUES (2), (3)")
+        return engine
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "tag = 'a' AND id IN (SELECT id FROM keep)",
+            "id IN (SELECT id FROM keep) AND tag = 'a'",
+        ],
+    )
+    def test_delete_pairs_unindexed_conjunct_with_subquery(self, where):
+        engine = self._engine()
+        assert engine.execute(f"DELETE FROM t WHERE {where}").rows == [(1,)]
+        assert engine.execute("SELECT id, v, tag FROM t").rows == [
+            (1, 10, "a"), (2, 20, "b"), (4, 40, "a"),
+        ]
+
+    def test_update_where_raising_on_a_later_row_leaves_table_untouched(self):
+        engine = self._engine()
+        table = engine.database.table("t")
+        version = table.version
+        # Rows 1 and 2 evaluate; row 3 divides by zero.
+        with pytest.raises(ExecutionError, match="division by zero"):
+            engine.execute("UPDATE t SET v = 0 WHERE 100 / (v - 30) > 0")
+        assert table.version == version
+        assert engine.execute("SELECT id, v, tag FROM t").rows == [
+            (1, 10, "a"), (2, 20, "b"), (3, 30, "a"), (4, 40, "a"),
+        ]
+
+    def test_dml_through_the_kernel_rolls_back(self):
+        engine = self._engine()
+        engine.execute("BEGIN")
+        engine.execute("DELETE FROM t WHERE tag = 'a' AND id IN (SELECT id FROM keep)")
+        engine.execute("UPDATE t SET v = v + 1 WHERE v > 15 AND tag = 'a'")
+        assert engine.execute("SELECT id, v, tag FROM t").rows == [
+            (1, 10, "a"), (2, 20, "b"), (4, 41, "a"),
+        ]
+        engine.execute("ROLLBACK")
+        assert engine.execute("SELECT id, v, tag FROM t").rows == [
+            (1, 10, "a"), (2, 20, "b"), (3, 30, "a"), (4, 40, "a"),
+        ]
 
 
 class TestCsvIo:

@@ -94,9 +94,7 @@ class TestInvalidation:
         version = engine.database.version
         engine.execute("CREATE TABLE extra (id INT PRIMARY KEY)")
         assert engine.database.version > version
-        hit, _ = engine.plan_cache.plan(
-            SQL, engine.database.table_version, columnar=engine.use_columnar
-        )
+        hit, _ = engine.plan_cache.plan(SQL, engine.database.table_version)
         assert hit
 
     def test_drop_table_invalidates_its_plans(self, engine):
