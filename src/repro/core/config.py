@@ -34,9 +34,12 @@ class NliConfig:
     answer_rows: int = 25
 
     # -- cache sizing / refresh knobs ---------------------------------------
-    #: Capacity of the prepared-question LRU (normalize/parse results per
-    #: question string).  Sized for an interactive session's working set;
-    #: raise it for batch evaluation over large question corpora.
+    #: Capacity of the prepared-question LRU: two entries per question
+    #: string, its normalize result and its parse, the parse carrying the
+    #: answer's back half (interpretations, generated SQL, paraphrase,
+    #: alternatives) once answered, so the default holds 128 questions.
+    #: Sized for an interactive session's working set; raise it for batch
+    #: evaluation over large question corpora.
     prepared_cache_size: int = 256
     #: Time-to-live (seconds) for prepared-question entries; ``None`` (the
     #: default) keeps entries until LRU pressure evicts them.  A service

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core.answer import Answer
 from repro.core.config import NliConfig
@@ -58,6 +58,7 @@ from repro.logical.forms import EntityRef
 from repro.nlp.stopwords import PROTECTED_WORDS
 from repro.nlp.tokenizer import Token, tokenize
 from repro.schemagraph.graph import SchemaGraph
+from repro.sqlengine.ast_nodes import Select
 from repro.sqlengine.database import Database
 from repro.sqlengine.executor import Engine
 from repro.sqlengine.plancache import LruCache
@@ -90,6 +91,32 @@ class LanguageLayers:
     value_index: ValueIndex | None
     interpreter: Interpreter
     sqlgen: SqlGenerator
+
+
+@dataclass(frozen=True)
+class _BackHalf:
+    """Everything an answer needs after the parse, except execution.
+
+    A pure function of the candidate readings, the layers generation and
+    ``max_interpretations``: the ``Select`` carries its memoized rendering
+    (``sql``), so executing it renders nothing.
+    """
+
+    max_interpretations: int
+    interpretations: tuple[Interpretation, ...]
+    select: Select
+    sql: str
+    paraphrase: str
+    alternatives: tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """One prepared-cache parse entry: the sketches, plus the back half
+    once an ask has been answered from them (``None`` until then)."""
+
+    sketches: tuple[Sketch, ...]
+    back: _BackHalf | None = None
 
 
 @dataclass(frozen=True)
@@ -150,11 +177,13 @@ class NaturalLanguageInterface:
         self.parser = EarleyParser(self.grammar)
         self._literal_words = grammar_literal_words(self.grammar)
         self._protected = frozenset(PROTECTED_WORDS | self._literal_words | PRONOUNS)
-        #: Prepared-pipeline cache: question string -> normalize/parse
-        #: results.  Cleared whenever the language layers change (a full
-        #: rebuild or an applied delta), because cached parses may embed
-        #: value references resolved against the old index.  The optional
-        #: TTL ages out one-off questions in long-running services.
+        #: Prepared-pipeline cache: question string -> normalize and parse
+        #: results, the parse entry carrying the answer's back half once
+        #: answered (see :class:`_Prepared`).  Cleared whenever the
+        #: language layers change (a full rebuild or an applied delta),
+        #: because cached parses may embed value references resolved
+        #: against the old index.  The optional TTL ages out one-off
+        #: questions in long-running services.
         self._prepared: LruCache = LruCache(
             capacity=self.config.prepared_cache_size,
             ttl_s=self.config.prepared_cache_ttl_s,
@@ -422,23 +451,29 @@ class NaturalLanguageInterface:
         """Tokenize/correct/tag/parse; returns all sketches."""
         layers = self._layers
         tokens, _ = self.normalize(question, layers)
-        return self._parse_tokens(tokens, session, cache_key=question, layers=layers)
+        prepared, _ = self._prepare(tokens, session, question, layers)
+        return list(prepared.sketches)
 
-    def _parse_tokens(
+    def _prepare(
         self,
         tokens: list[Token],
         session: Session | None,
-        cache_key: str | None = None,
-        layers: LanguageLayers | None = None,
-    ) -> list[Sketch]:
-        layers = layers or self._layers
+        cache_key: str,
+        layers: LanguageLayers,
+    ) -> tuple[_Prepared, tuple | None]:
+        """Tag and parse ``tokens`` through the prepared cache.
+
+        Returns the entry and its cache key.  The key is ``None`` when a
+        pronoun resolved against the session: that parse is neither looked
+        up nor stored, and no back half may be attached to it.
+        """
         pronoun_entity = None
         if session is not None and session.last_query is not None:
             if any(t.text in PRONOUNS for t in tokens):
                 pronoun_entity = session.last_query.target
         # Without dialogue state the parse is a pure function of the
         # question (given fresh language layers), so it can be reused.
-        cacheable = pronoun_entity is None and cache_key is not None
+        cacheable = pronoun_entity is None
         parse_key = (
             "parse",
             cache_key,
@@ -449,15 +484,18 @@ class NaturalLanguageInterface:
         if cacheable:
             cached = self._prepared.get(parse_key)
             if cached is not None:
-                return list(cached)
+                return cached, parse_key
         tagger = self.tag(tokens, layers)
         matcher = _SessionTagger(tagger, pronoun_entity)
         words = [t.text for t in tokens]
         results = self.parser.parse(words, matcher, max_parses=self.config.max_parses)
-        sketches = [r.value for r in results if isinstance(r.value, Sketch)]
-        if cacheable:
-            self._prepared.put(parse_key, tuple(sketches))
-        return sketches
+        prepared = _Prepared(
+            tuple(r.value for r in results if isinstance(r.value, Sketch))
+        )
+        if not cacheable:
+            return prepared, None
+        self._prepared.put(parse_key, prepared)
+        return prepared, parse_key
 
     # -- the main entry point ------------------------------------------------------
 
@@ -519,12 +557,10 @@ class NaturalLanguageInterface:
             tokens, corrections = self.normalize(question, layers)
             if not tokens:
                 raise ParseFailure("empty question")
-            sketches = self._parse_tokens(
-                tokens, session, cache_key=question, layers=layers
-            )
+            prepared, parse_key = self._prepare(tokens, session, question, layers)
 
-            full = [s for s in sketches if not s.fragment]
-            fragments = [s for s in sketches if s.fragment]
+            full = [s for s in prepared.sketches if not s.fragment]
+            fragments = [s for s in prepared.sketches if s.fragment]
             used_fragment = False
 
             candidates: list[Sketch] = []
@@ -547,47 +583,38 @@ class NaturalLanguageInterface:
             else:  # pragma: no cover - parser always yields one kind
                 raise ParseFailure("no usable parse", tokens=[t.text for t in tokens])
 
-            interpretations = layers.interpreter.interpret(candidates)
+            # The back half is reusable only when the candidates are the
+            # cached sketches themselves: not a fragment completed from
+            # the session (a resolved pronoun already left parse_key None).
+            reusable = parse_key is not None and not used_fragment
+            back = prepared.back if reusable else None
+            limit = self.config.max_interpretations
+            if back is None or back.max_interpretations != limit:
+                back = None
+                interpretations = layers.interpreter.interpret(candidates)
+            else:
+                interpretations = back.interpretations
             interpreted = True
-            best = interpretations[0]
-            runners_up = interpretations[1 : self.config.max_interpretations]
+            runners_up = interpretations[1:limit]
 
             if clarify and runners_up:
-                margin = best.score - runners_up[0].score
+                margin = interpretations[0].score - runners_up[0].score
                 if margin <= self.config.clarification_margin:
                     return self._ambiguous_response(
                         question, tokens, corrections, session, interpretations,
                         layers,
                     )
 
-            select = layers.sqlgen.generate(best.query)
-            sql = select.render()
-            result = self.engine.execute(select, snapshot=snapshot)
-            text = make_paraphrase(best.query)
-
-            alternatives = []
-            for other in runners_up:
-                try:
-                    alternatives.append(
-                        (make_paraphrase(other.query),
-                         layers.sqlgen.generate_sql(other.query))
-                    )
-                except InterpretationError:  # pragma: no cover - defensive
-                    continue
-
-            answer = Answer(
-                question=question,
-                normalized_words=[t.text for t in tokens],
-                corrections=corrections,
-                interpretation=best,
-                sql=sql,
-                result=result,
-                paraphrase=text,
-                alternatives=alternatives,
-                was_fragment=used_fragment,
+            answer, filled = self._answer(
+                question, [t.text for t in tokens], corrections, interpretations,
+                back, layers, snapshot, was_fragment=used_fragment,
             )
+            if reusable and filled is not back:
+                self._prepared.put(parse_key, _Prepared(prepared.sketches, filled))
             if session is not None:
-                session.remember(question, best.query, text, clarify=clarify)
+                session.remember(
+                    question, answer.query, answer.paraphrase, clarify=clarify
+                )
             return Response.answered(question, answer)
         except (NliError, EngineError) as exc:
             return self._failure_response(
@@ -607,8 +634,8 @@ class NaturalLanguageInterface:
         absorbed once, not per question), and ONE (layers, snapshot) pair
         is pinned for all of it: every answer in the batch reflects the
         same committed data version even while writers keep committing,
-        and repeated question strings share one normalize/parse pass and
-        the engine's materialized results.
+        and repeated question strings share one prepared entry (a repeat
+        runs only the engine) and the engine's materialized results.
         """
         # Honour auto_refresh: when an NliService owns this pipeline, the
         # service performs refreshes under its commit lock — a reader
@@ -663,10 +690,10 @@ class NaturalLanguageInterface:
         layers, snapshot = self._pin()
         try:
             try:
-                select = layers.sqlgen.generate(chosen.query)
-                sql = select.render()
-                result = self.engine.execute(select, snapshot=snapshot)
-                text = make_paraphrase(chosen.query)
+                answer, _ = self._answer(
+                    pending.question, pending.words, pending.corrections,
+                    (chosen,), None, layers, snapshot,
+                )
             finally:
                 snapshot.close()
         except (NliError, EngineError) as exc:
@@ -687,22 +714,66 @@ class NaturalLanguageInterface:
                 tokens=pending.words,
                 error_type=type(exc).__name__,
             )
-        answer = Answer(
-            question=pending.question,
-            normalized_words=list(pending.words),
-            corrections=list(pending.corrections),
-            interpretation=chosen,
-            sql=sql,
-            result=result,
-            paraphrase=text,
-        )
         if pending.session is not None:
             pending.session.remember(
-                pending.question, chosen.query, text, choice=choice_index
+                pending.question, chosen.query, answer.paraphrase,
+                choice=choice_index,
             )
         with self._stats_lock:
             self._stats["clarifications_resolved"] += 1
         return Response.answered(pending.question, answer)
+
+    def _answer(
+        self,
+        question: str,
+        words: Sequence[str],
+        corrections: Sequence[tuple[str, str]],
+        interpretations: Sequence[Interpretation],
+        back: _BackHalf | None,
+        layers: LanguageLayers,
+        snapshot: Any,
+        was_fragment: bool = False,
+    ) -> tuple[Answer, _BackHalf]:
+        """The one answer tail, shared by :meth:`ask` and :meth:`resolve`.
+
+        Builds the back half for the best of ``interpretations`` unless a
+        prepared one is passed in, then executes it against ``snapshot``.
+        Returns the answer and the back half it used.  Every answer gets
+        its own lists, so a caller mutating one cannot reach the cache.
+        """
+        if back is None:
+            limit = self.config.max_interpretations
+            best = interpretations[0]
+            select = layers.sqlgen.generate(best.query)
+            alternatives = []
+            for other in interpretations[1:limit]:
+                try:
+                    alternatives.append(
+                        (make_paraphrase(other.query),
+                         layers.sqlgen.generate_sql(other.query))
+                    )
+                except InterpretationError:  # pragma: no cover - defensive
+                    continue
+            back = _BackHalf(
+                max_interpretations=limit,
+                interpretations=tuple(interpretations),
+                select=select,
+                sql=Engine._statement_key(select),
+                paraphrase=make_paraphrase(best.query),
+                alternatives=tuple(alternatives),
+            )
+        answer = Answer(
+            question=question,
+            normalized_words=list(words),
+            corrections=list(corrections),
+            interpretation=back.interpretations[0],
+            sql=back.sql,
+            result=self.engine.execute(back.select, snapshot=snapshot),
+            paraphrase=back.paraphrase,
+            alternatives=list(back.alternatives),
+            was_fragment=was_fragment,
+        )
+        return answer, back
 
     # -- envelope construction ---------------------------------------------------
 
@@ -712,7 +783,7 @@ class NaturalLanguageInterface:
         tokens: list[Token],
         corrections: list[tuple[str, str]],
         session: Session | None,
-        interpretations: list[Interpretation],
+        interpretations: Sequence[Interpretation],
         layers: LanguageLayers | None = None,
     ) -> Response:
         layers = layers or self._layers
@@ -849,12 +920,11 @@ class NaturalLanguageInterface:
                 f"  tag {match.category:7s} [{match.start}:{match.end}] {payload}"
             )
         try:
-            sketches = self._parse_tokens(
-                tokens, session, cache_key=question, layers=layers
-            )
+            prepared, _ = self._prepare(tokens, session, question, layers)
         except ParseFailure as exc:
             lines.append(f"parse:    FAILED ({exc})")
             return "\n".join(lines)
+        sketches = list(prepared.sketches)
         lines.append(f"parses:   {len(sketches)}")
         try:
             interpretations = layers.interpreter.interpret(

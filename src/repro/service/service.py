@@ -64,12 +64,10 @@ Service-grade facilities ride on top:
 
 from __future__ import annotations
 
-import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.config import NliConfig
 from repro.core.dialogue import Session
@@ -87,6 +85,9 @@ from repro.service.subscriptions import (
 from repro.sqlengine.database import Database
 from repro.sqlengine.result import ResultSet
 from repro.storage import StorageManager
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ThreadPoolExecutor
 
 #: Statement prefixes that only read; everything else is a writer.
 _READ_ONLY_PREFIXES = ("select", "explain")
@@ -518,8 +519,12 @@ class NliService:
         return self._subscriptions
 
     # -- async face --------------------------------------------------------
+    # asyncio and the pool are imported on first use: an in-process caller
+    # that never awaits should not pay for loading them.
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
+        from concurrent.futures import ThreadPoolExecutor
+
         with self._sessions_lock:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
@@ -529,6 +534,8 @@ class NliService:
             return self._executor
 
     async def _run(self, call) -> Any:
+        import asyncio
+
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._ensure_executor(), call)
 

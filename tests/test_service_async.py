@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,27 @@ def _service(fleet_db_args, **config_kwargs):
 
 
 class TestAsyncFace:
+    def test_sync_callers_never_import_asyncio(self):
+        # The pool and the event loop load on the first *_async call only.
+        probe = (
+            "import sys\n"
+            "from repro.service.service import NliService\n"
+            "from repro.datasets import fleet\n"
+            "service = NliService(fleet.build_database(), domain=fleet.domain())\n"
+            "assert service.ask('how many ships are there').ok\n"
+            "print('asyncio' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_ask_async_returns_envelope(self, fleet_db_args):
         service = _service(fleet_db_args)
         try:

@@ -11,6 +11,7 @@ Covers the dependency-aware invalidation chain end to end:
 
 from __future__ import annotations
 
+import pytest
 
 from repro.core import NaturalLanguageInterface
 from repro.datasets import fleet
@@ -320,13 +321,18 @@ class TestInterleavedAsk:
         assert nli.stats["full_rebuilds"] == 2
         assert nli.stats["delta_refreshes"] == 0
 
-    def test_numeric_only_dml_keeps_prepared_cache(self):
-        # Valueless deltas (no TEXT change) must not flush cached parses.
+    def test_numeric_only_dml_keeps_prepared_cache(self, monkeypatch):
+        # Valueless deltas (no TEXT change) must not flush cached parses,
+        # nor the answers' back halves stored with them.
         nli = self._fresh_nli()
-        nli.ask("how many ships are there")
+        question = "what is the total crew of all ships"
+        before = nli.ask(question).answer.result.scalar()
         assert len(nli._prepared) > 0
         nli.engine.execute("UPDATE ship SET crew = crew + 1 WHERE id = 1")
-        nli.ask("how many ships are there")
+        monkeypatch.setattr(
+            nli.interpreter, "interpret", lambda c: pytest.fail("re-interpreted")
+        )
+        assert nli.ask(question).answer.result.scalar() == before + 1
         assert nli.stats["delta_refreshes"] == 0
         assert len(nli._prepared) > 0
 
