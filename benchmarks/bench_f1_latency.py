@@ -11,6 +11,7 @@ import time
 
 from repro.core.pipeline import NaturalLanguageInterface
 from repro.evalkit import format_series
+from repro.evaluation.goldsets import load_goldset
 
 from benchmarks.conftest import emit
 
@@ -18,8 +19,8 @@ from benchmarks.conftest import emit
 def _latency_series(bundle):
     nli = NaturalLanguageInterface(bundle.database, domain=bundle.model)
     buckets: dict[str, list[float]] = {}
-    for example in bundle.corpus:
-        tokens = len(example.question.split())
+    for item in load_goldset(bundle.name):
+        tokens = len(item.question.split())
         if tokens <= 4:
             bucket = "2-4"
         elif tokens <= 6:
@@ -29,7 +30,7 @@ def _latency_series(bundle):
         else:
             bucket = "9+"
         start = time.perf_counter()
-        response = nli.ask(example.question)
+        response = nli.ask(item.question)
         elapsed = (time.perf_counter() - start) * 1000.0
         if not response.ok:
             continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.core.config import NliConfig
 from repro.evalkit import evaluate_nli, format_series, pct
+from repro.evaluation.goldsets import load_goldset
 
 from benchmarks.conftest import emit
 
@@ -17,10 +18,11 @@ FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _sweep(bundle):
+    items = load_goldset(bundle.name)
     points = []
     for fraction in FRACTIONS:
         config = NliConfig(synonym_fraction=fraction)
-        result = evaluate_nli(bundle, config=config)
+        result = evaluate_nli(bundle, items, config=config)
         points.append(
             (f"{fraction:.2f}", [pct(result.stages.parse_rate),
                                  pct(result.stages.accuracy)])

@@ -8,6 +8,7 @@ import random
 from repro.core.config import NliConfig
 from repro.core.pipeline import NaturalLanguageInterface
 from repro.evalkit import answers_match, corrupt_question, format_series, pct
+from repro.evaluation.goldsets import load_goldset
 from repro.sqlengine.executor import Engine
 
 from benchmarks.conftest import emit
@@ -15,17 +16,17 @@ from benchmarks.conftest import emit
 RATES = (0.0, 0.1, 0.2, 0.3)
 
 
-def _accuracy_at(bundle, nli, rate: float, seed: int) -> float:
+def _accuracy_at(bundle, items, nli, rate: float, seed: int) -> float:
     rng = random.Random(seed)
     gold_engine = Engine(bundle.database)
     correct = 0
-    for example in bundle.corpus:
-        question = corrupt_question(example.question, rate, rng)
-        gold = gold_engine.execute(example.gold_sql)
+    for item in items:
+        question = corrupt_question(item.question, rate, rng)
+        gold = gold_engine.execute(item.gold_sql)
         response = nli.ask(question)
         if response.ok and answers_match(response.answer.result, gold):
             correct += 1
-    return correct / len(bundle.corpus)
+    return correct / len(items)
 
 
 def _sweep(bundle):
@@ -37,10 +38,11 @@ def _sweep(bundle):
         bundle.database, domain=bundle.model,
         config=NliConfig(spelling_correction=False),
     )
+    items = load_goldset(bundle.name)
     points = []
     for rate in RATES:
-        on = _accuracy_at(bundle, with_corr, rate, seed=42)
-        off = _accuracy_at(bundle, without_corr, rate, seed=42)
+        on = _accuracy_at(bundle, items, with_corr, rate, seed=42)
+        off = _accuracy_at(bundle, items, without_corr, rate, seed=42)
         points.append((f"{int(rate * 100)}%", [pct(on), pct(off)]))
     return points
 

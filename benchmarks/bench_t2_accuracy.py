@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.baselines import KeywordBaseline, TemplateBaseline
 from repro.evalkit import evaluate_nli, evaluate_system, format_table, pct
+from repro.evaluation.goldsets import load_goldset
 
 from benchmarks.conftest import emit
 
@@ -16,15 +17,16 @@ from benchmarks.conftest import emit
 def _rows(bundles):
     rows = []
     for bundle in bundles:
-        nli = evaluate_nli(bundle).stages.accuracy
+        items = load_goldset(bundle.name)
+        nli = evaluate_nli(bundle, items).stages.accuracy
         keyword = evaluate_system(
-            KeywordBaseline(bundle.database, bundle.model), bundle
+            KeywordBaseline(bundle.database, bundle.model), bundle, items
         ).accuracy
         template = evaluate_system(
-            TemplateBaseline(bundle.database, bundle.model), bundle
+            TemplateBaseline(bundle.database, bundle.model), bundle, items
         ).accuracy
         rows.append([
-            bundle.name, len(bundle.corpus), pct(nli), pct(keyword), pct(template),
+            bundle.name, len(items), pct(nli), pct(keyword), pct(template),
         ])
     return rows
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.core.config import NliConfig
 from repro.evalkit import evaluate_nli, format_table, pct, per_feature_accuracy
+from repro.evaluation.goldsets import load_goldset
 
 from benchmarks.conftest import emit
 
@@ -15,7 +16,9 @@ FEATURES = [
 
 
 def _construct_rows(bundles):
-    per_domain = {b.name: per_feature_accuracy(b) for b in bundles}
+    per_domain = {
+        b.name: per_feature_accuracy(b, load_goldset(b.name)) for b in bundles
+    }
     rows = []
     for feature in FEATURES:
         row = [feature]
@@ -31,7 +34,8 @@ def _ablation_rows(bundles):
     for mode in ("steiner", "pairwise"):
         config = NliConfig(join_inference=mode)
         accs = [
-            pct(evaluate_nli(b, config=config).stages.accuracy) for b in bundles
+            pct(evaluate_nli(b, load_goldset(b.name), config).stages.accuracy)
+            for b in bundles
         ]
         rows.append([mode, *accs])
     return rows

@@ -1,8 +1,12 @@
-"""T4 (Table 4) — elliptical follow-up resolution in scripted dialogues."""
+"""T4 (Table 4) — elliptical follow-up resolution in scripted dialogues.
+
+The sessions are the ``dialogue`` records of each domain's gold file.
+"""
 
 from __future__ import annotations
 
 from repro.evalkit import evaluate_dialogues, format_table
+from repro.evaluation.goldsets import dialogue_scripts, load_gold_records
 
 from benchmarks.conftest import emit
 
@@ -10,10 +14,11 @@ from benchmarks.conftest import emit
 def _rows(bundles):
     rows = []
     for bundle in bundles:
-        outcome = evaluate_dialogues(bundle)
+        scripts = dialogue_scripts(load_gold_records(bundle.name))
+        outcome = evaluate_dialogues(bundle, scripts)
         rows.append([
             bundle.name,
-            len(bundle.dialogues),
+            len(scripts),
             str(outcome.first_turns),
             str(outcome.followups),
         ])

@@ -1,63 +1,55 @@
 """T5 (Table 5) — ambiguity handling.
 
 Reports interpretations per question (mean/max), how often several
-readings survive, top-1 correctness on a deliberately ambiguous set, and
-the A3 ablation (value index off: bare values become unparseable).
+readings survive, top-1 correctness on a deliberately ambiguous set (the
+``ambiguous`` records of the fleet gold file), and the A3 ablation
+(value index off: bare values become unparseable).
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.config import NliConfig
 from repro.core.pipeline import NaturalLanguageInterface
 from repro.evalkit import answers_match, format_table
+from repro.evaluation.goldsets import load_goldset
 from repro.sqlengine.executor import Engine
 
 from benchmarks.conftest import emit
 
-#: Questions with a genuine lexical ambiguity in the fleet domain and the
-#: reading a cooperative system should prefer.
-AMBIGUOUS_FLEET = [
-    # "kennedy" is a ship and an officer
-    ("what is the displacement of the kennedy",
-     "SELECT displacement FROM ship WHERE name = 'Kennedy'"),
-    ("ships heavier than the kennedy",
-     "SELECT name FROM ship WHERE displacement > "
-     "(SELECT displacement FROM ship WHERE name = 'Kennedy')"),
-    # "norfolk" is a port and a fleet headquarters
-    ("ships from norfolk",
-     "SELECT DISTINCT ship.name FROM ship JOIN port ON "
-     "ship.home_port_id = port.id WHERE port.name = 'Norfolk'"),
-    # "pacific" is a fleet name, a fleet ocean and a deployment ocean
-    ("how many ships are in the pacific fleet",
-     "SELECT COUNT(DISTINCT ship.id) FROM ship JOIN fleet ON "
-     "ship.fleet_id = fleet.id WHERE fleet.name = 'Pacific'"),
-    # "largest" could ground in several numeric attributes
-    ("the largest ship",
-     "SELECT name FROM ship ORDER BY displacement DESC LIMIT 1"),
-]
+
+@pytest.fixture(scope="module")
+def ambiguous_fleet():
+    """Questions with a genuine lexical ambiguity in the fleet domain and
+    the reading a cooperative system should prefer: "kennedy" is a ship
+    and an officer, "norfolk" a port and a fleet headquarters, "pacific" a
+    fleet name, a fleet ocean and a deployment ocean, and "largest" could
+    ground in several numeric attributes."""
+    return load_goldset("fleet", kind="ambiguous")
 
 
-def _ambiguity_stats(bundle):
+def _ambiguity_stats(bundle, items):
     nli = NaturalLanguageInterface(bundle.database, domain=bundle.model)
     gold_engine = Engine(bundle.database)
     counts = []
     top1 = 0
     multi = 0
-    for question, gold_sql in AMBIGUOUS_FLEET:
-        response = nli.ask(question)
+    for item in items:
+        response = nli.ask(item.question)
         assert response.ok, response.diagnostics
         answer = response.answer
         n_interpretations = 1 + len(answer.alternatives)
         counts.append(n_interpretations)
         if n_interpretations > 1:
             multi += 1
-        gold = gold_engine.execute(gold_sql)
+        gold = gold_engine.execute(item.gold_sql)
         if answers_match(answer.result, gold):
             top1 += 1
     return counts, top1, multi
 
 
-def _value_index_ablation(bundle):
+def _value_index_ablation(bundle, items):
     """A3: without the value index, value-dependent questions die."""
     outcomes = []
     for use_index in (True, False):
@@ -66,18 +58,19 @@ def _value_index_ablation(bundle):
             config=NliConfig(use_value_index=use_index),
         )
         answered = 0
-        for question, _ in AMBIGUOUS_FLEET:
-            if nli.ask(question).ok:
+        for item in items:
+            if nli.ask(item.question).ok:
                 answered += 1
         outcomes.append(answered)
     return outcomes
 
 
-def test_t5_ambiguity(benchmark, fleet_bundle):
+def test_t5_ambiguity(benchmark, fleet_bundle, ambiguous_fleet):
     counts, top1, multi = benchmark.pedantic(
-        _ambiguity_stats, args=(fleet_bundle,), rounds=1, iterations=1
+        _ambiguity_stats, args=(fleet_bundle, ambiguous_fleet),
+        rounds=1, iterations=1,
     )
-    n = len(AMBIGUOUS_FLEET)
+    n = len(ambiguous_fleet)
     rows = [
         ["questions", n],
         ["mean interpretations", f"{sum(counts) / n:.2f}"],
@@ -93,13 +86,15 @@ def test_t5_ambiguity(benchmark, fleet_bundle):
     assert multi >= 2  # the set IS ambiguous
 
 
-def test_t5_value_index_ablation(benchmark, fleet_bundle):
+def test_t5_value_index_ablation(benchmark, fleet_bundle, ambiguous_fleet):
     with_index, without_index = benchmark.pedantic(
-        _value_index_ablation, args=(fleet_bundle,), rounds=1, iterations=1
+        _value_index_ablation, args=(fleet_bundle, ambiguous_fleet),
+        rounds=1, iterations=1,
     )
+    n = len(ambiguous_fleet)
     rows = [
-        ["value index ON", f"{with_index}/{len(AMBIGUOUS_FLEET)}"],
-        ["value index OFF", f"{without_index}/{len(AMBIGUOUS_FLEET)}"],
+        ["value index ON", f"{with_index}/{n}"],
+        ["value index OFF", f"{without_index}/{n}"],
     ]
     emit("T5-A3", format_table(
         ["configuration", "questions answered"], rows,

@@ -1,4 +1,5 @@
-"""Evaluation harness: run systems over corpora and collect metrics.
+"""Evaluation harness: run systems over gold question lists and collect
+metrics.
 
 Every system under evaluation — the full pipeline and both baselines —
 speaks the same :class:`~repro.service.Response` protocol, so the evalkit
@@ -9,15 +10,18 @@ whose diagnostics say *where* the pipeline gave up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.core.config import NliConfig
 from repro.core.dialogue import Session
 from repro.core.pipeline import NaturalLanguageInterface
-from repro.datasets.corpus import DomainBundle, QuestionExample
+from repro.datasets import DomainBundle
 from repro.evalkit.metrics import StageCounts, Tally, answers_match, failure_stage
 from repro.service.response import Response
 from repro.sqlengine.executor import Engine
+
+if TYPE_CHECKING:
+    from repro.evaluation.goldsets import GoldItem
 
 __all__ = [
     "DialogueEval",
@@ -62,7 +66,7 @@ class NliSystem:
 
 @dataclass
 class EvalResult:
-    """Accuracy + per-stage coverage over one corpus."""
+    """Accuracy + per-stage coverage over one list of gold items."""
 
     system: str
     domain: str
@@ -75,35 +79,33 @@ class EvalResult:
 
 def evaluate_nli(
     bundle: DomainBundle,
+    items: list[GoldItem],
     config: NliConfig | None = None,
-    examples: list[QuestionExample] | None = None,
 ) -> EvalResult:
-    """Run the full pipeline over a corpus with stage accounting."""
+    """Run the full pipeline over gold items with stage accounting."""
     nli = NaturalLanguageInterface(bundle.database, domain=bundle.model, config=config)
     gold_engine = Engine(bundle.database)
     result = EvalResult("nli", bundle.name)
-    for example in examples if examples is not None else bundle.corpus:
-        gold = gold_engine.execute(example.gold_sql)
-        response = nli.ask(example.question)
+    for item in items:
+        gold = gold_engine.execute(item.gold_sql)
+        response = nli.ask(item.question)
         if response.ok:
             correct = answers_match(response.answer.result, gold)
-            result.stages.record(example.question, "answered", correct=correct)
+            result.stages.record(item.question, "answered", correct=correct)
         else:
-            result.stages.record(example.question, failure_stage(response))
+            result.stages.record(item.question, failure_stage(response))
     return result
 
 
 def evaluate_system(
-    system: QuestionAnswerer,
-    bundle: DomainBundle,
-    examples: list[QuestionExample] | None = None,
+    system: QuestionAnswerer, bundle: DomainBundle, items: list[GoldItem]
 ) -> Tally:
     """Answer-accuracy only (for baselines)."""
     gold_engine = Engine(bundle.database)
     tally = Tally()
-    for example in examples if examples is not None else bundle.corpus:
-        gold = gold_engine.execute(example.gold_sql)
-        response = system.ask(example.question)
+    for item in items:
+        gold = gold_engine.execute(item.gold_sql)
+        response = system.ask(item.question)
         tally.add(response.ok and answers_match(response.answer.result, gold))
     return tally
 
@@ -117,19 +119,21 @@ class DialogueEval:
 
 
 def evaluate_dialogues(
-    bundle: DomainBundle, config: NliConfig | None = None
+    bundle: DomainBundle,
+    scripts: list[list[GoldItem]],
+    config: NliConfig | None = None,
 ) -> DialogueEval:
     """Run scripted sessions; follow-ups are scored separately (T4)."""
     nli = NaturalLanguageInterface(bundle.database, domain=bundle.model, config=config)
     gold_engine = Engine(bundle.database)
     outcome = DialogueEval()
-    for session_script in bundle.dialogues:
+    for session_script in scripts:
         session = Session()
         for turn in session_script:
             gold = gold_engine.execute(turn.gold_sql)
             response = nli.ask(turn.question, session=session)
             correct = response.ok and answers_match(response.answer.result, gold)
-            if turn.is_followup:
+            if turn.followup:
                 outcome.followups.add(correct)
             else:
                 outcome.first_turns.add(correct)
@@ -137,16 +141,16 @@ def evaluate_dialogues(
 
 
 def per_feature_accuracy(
-    bundle: DomainBundle, config: NliConfig | None = None
+    bundle: DomainBundle, items: list[GoldItem], config: NliConfig | None = None
 ) -> dict[str, Tally]:
     """Accuracy partitioned by construct tag (drives Table 3)."""
     nli = NaturalLanguageInterface(bundle.database, domain=bundle.model, config=config)
     gold_engine = Engine(bundle.database)
     buckets: dict[str, Tally] = {}
-    for example in bundle.corpus:
-        gold = gold_engine.execute(example.gold_sql)
-        response = nli.ask(example.question)
+    for item in items:
+        gold = gold_engine.execute(item.gold_sql)
+        response = nli.ask(item.question)
         correct = response.ok and answers_match(response.answer.result, gold)
-        for feature in example.features:
+        for feature in item.tags:
             buckets.setdefault(feature, Tally()).add(correct)
     return buckets

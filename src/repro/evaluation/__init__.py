@@ -1,9 +1,10 @@
 """Gold-dataset evaluation matrix.
 
 Per-domain gold datasets (versioned JSONL: question, gold SQL, expected
-answer, question-class tags), a runner executing every
-(domain × configuration) cell, and an aggregator emitting one comparison
-table with per-cell accuracy, clarification rate and failure taxonomy.
+answer, question-class tags — the only source of evaluation questions),
+a runner executing every (domain × configuration) cell, and an
+aggregator emitting one comparison table with per-cell accuracy,
+clarification rate and failure taxonomy.
 See ``docs/evaluation.md``.
 """
 
@@ -16,11 +17,11 @@ from repro.evaluation.configs import (
 from repro.evaluation.goldsets import (
     GOLD_DIR,
     GoldItem,
-    build_goldset,
+    dialogue_scripts,
     gold_path,
+    load_gold_records,
     load_goldset,
     normalize_answer,
-    regenerate,
     write_goldset,
 )
 from repro.evaluation.runner import (
@@ -37,13 +38,13 @@ __all__ = [
     "EvalConfiguration",
     "GOLD_DIR",
     "GoldItem",
-    "build_goldset",
     "cell_questions",
+    "dialogue_scripts",
     "gold_path",
     "get_configuration",
+    "load_gold_records",
     "load_goldset",
     "normalize_answer",
-    "regenerate",
     "run_cell",
     "run_matrix",
     "write_goldset",

@@ -2,11 +2,12 @@
 
 ``tests/data/benchmark_pins.json`` stores the normalized answer set of
 each corpus, wild, and dialogue question used by the t-benchmarks, plus
-the deliberately ambiguous t5 set.  The benchmarks themselves assert
-rates (accuracy >= 90%, NLI beats baselines by 20 points, ...); these
-tests assert the *answers*, so a change that shifts any single gold
-result — an engine regression, a dataset edit, a corpus rewrite — fails
-loudly here even when the rates stay above their thresholds.
+the deliberately ambiguous t5 set — all read from the gold files.  The
+benchmarks themselves assert rates (accuracy >= 90%, NLI beats baselines
+by 20 points, ...); these tests assert the *answers*, so a change that
+shifts any single gold result — an engine regression, a dataset edit, a
+gold-file rewrite — fails loudly here even when the rates stay above
+their thresholds.
 
 Regenerate after an intentional dataset change with::
 
@@ -14,21 +15,19 @@ Regenerate after an intentional dataset change with::
 """
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.core.pipeline import NaturalLanguageInterface
 from repro.datasets import load_bundle
-from repro.evaluation.goldsets import normalize_answer
+from repro.evaluation.goldsets import (
+    dialogue_scripts,
+    load_gold_records,
+    load_goldset,
+    normalize_answer,
+)
 from repro.sqlengine import Engine
-
-try:
-    from benchmarks.bench_t5_ambiguity import AMBIGUOUS_FLEET
-except ModuleNotFoundError:  # direct script invocation from anywhere
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.bench_t5_ambiguity import AMBIGUOUS_FLEET
 
 PINS_PATH = Path(__file__).parent / "data" / "benchmark_pins.json"
 
@@ -36,11 +35,11 @@ PINS_PATH = Path(__file__).parent / "data" / "benchmark_pins.json"
 BENCH_DOMAINS = ("fleet", "company", "geography")
 
 
-def _pin(engine, question, sql, **extra):
-    result = engine.execute(sql)
+def _pin(engine, item, **extra):
+    result = engine.execute(item.gold_sql)
     return {
-        "question": question,
-        "sql": sql,
+        "question": item.question,
+        "sql": item.gold_sql,
         "columns": len(result.columns),
         "answer": normalize_answer(result),
         **extra,
@@ -50,27 +49,18 @@ def _pin(engine, question, sql, **extra):
 def build_pins() -> dict:
     document = {"format": "repro-benchmark-pins", "version": 1, "domains": {}}
     for name in BENCH_DOMAINS:
-        bundle = load_bundle(name)
-        engine = Engine(bundle.database)
+        engine = Engine(load_bundle(name).database)
         document["domains"][name] = {
-            "corpus": [
-                _pin(engine, e.question, e.gold_sql) for e in bundle.corpus
-            ],
-            "wild": [
-                _pin(engine, e.question, e.gold_sql) for e in bundle.wild
-            ],
+            "corpus": [_pin(engine, i) for i in load_goldset(name)],
+            "wild": [_pin(engine, i) for i in load_goldset(name, kind="wild")],
             "dialogues": [
-                [
-                    _pin(engine, t.question, t.gold_sql, followup=t.is_followup)
-                    for t in script
-                ]
-                for script in bundle.dialogues
+                [_pin(engine, turn, followup=turn.followup) for turn in script]
+                for script in dialogue_scripts(load_gold_records(name))
             ],
         }
-    fleet = load_bundle("fleet")
-    engine = Engine(fleet.database)
+    engine = Engine(load_bundle("fleet").database)
     document["ambiguous_fleet"] = [
-        _pin(engine, question, sql) for question, sql in AMBIGUOUS_FLEET
+        _pin(engine, item) for item in load_goldset("fleet", kind="ambiguous")
     ]
     return document
 
@@ -86,43 +76,36 @@ def domain(request):
 
 
 @pytest.fixture(scope="module")
-def bundle(domain):
-    return load_bundle(domain)
-
-
-@pytest.fixture(scope="module")
-def engine(bundle):
-    return Engine(bundle.database)
+def engine(domain):
+    return Engine(load_bundle(domain).database)
 
 
 class TestCoverage:
     """The pins file covers exactly the questions the benchmarks ask."""
 
-    def test_corpus_questions_covered(self, pins, domain, bundle):
+    def test_corpus_questions_covered(self, pins, domain):
         pinned = [p["question"] for p in pins["domains"][domain]["corpus"]]
-        assert pinned == [e.question for e in bundle.corpus]
+        assert pinned == [i.question for i in load_goldset(domain)]
 
-    def test_wild_questions_covered(self, pins, domain, bundle):
+    def test_wild_questions_covered(self, pins, domain):
         pinned = [p["question"] for p in pins["domains"][domain]["wild"]]
-        assert pinned == [e.question for e in bundle.wild]
+        assert pinned == [i.question for i in load_goldset(domain, kind="wild")]
 
-    def test_dialogue_turns_covered(self, pins, domain, bundle):
-        pinned = pins["domains"][domain]["dialogues"]
-        assert [
+    def test_dialogue_turns_covered(self, pins, domain):
+        pinned = [
             [(t["question"], t["followup"]) for t in script]
-            for script in pinned
-        ] == [
-            [(t.question, t.is_followup) for t in script]
-            for script in bundle.dialogues
+            for script in pins["domains"][domain]["dialogues"]
         ]
+        stored = [
+            [(t.question, t.followup) for t in script]
+            for script in dialogue_scripts(load_gold_records(domain))
+        ]
+        assert pinned == stored
 
     def test_ambiguous_set_covered(self, pins):
-        assert [p["question"] for p in pins["ambiguous_fleet"]] == [
-            question for question, _ in AMBIGUOUS_FLEET
-        ]
-        assert [p["sql"] for p in pins["ambiguous_fleet"]] == [
-            sql for _, sql in AMBIGUOUS_FLEET
-        ]
+        ambiguous = load_goldset("fleet", kind="ambiguous")
+        pinned = [(p["question"], p["sql"]) for p in pins["ambiguous_fleet"]]
+        assert pinned == [(item.question, item.gold_sql) for item in ambiguous]
 
 
 def _assert_pin_holds(engine, pin):
@@ -148,8 +131,7 @@ class TestAnswersUnchanged:
                 _assert_pin_holds(engine, pin)
 
     def test_ambiguous_fleet(self, pins):
-        bundle = load_bundle("fleet")
-        engine = Engine(bundle.database)
+        engine = Engine(load_bundle("fleet").database)
         for pin in pins["ambiguous_fleet"]:
             _assert_pin_holds(engine, pin)
 
@@ -179,7 +161,5 @@ def test_pins_file_format(pins):
 
 if __name__ == "__main__":
     PINS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    PINS_PATH.write_text(
-        json.dumps(build_pins(), indent=1) + "\n", encoding="utf-8"
-    )
+    PINS_PATH.write_text(json.dumps(build_pins(), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {PINS_PATH}")

@@ -8,9 +8,10 @@ is evaluated through an Env per row inside its kernel.  It must be
 under the same column names, from the same optimizer plan — and when a
 query errors, the same error.  This suite proves it two ways:
 
-* **corpus sweep** — every SELECT in the five domain corpora (t1–t5 gold
-  SQL, wild questions and dialogue turns) runs through the engine and
-  the reference over one shared database, comparing results and EXPLAIN;
+* **corpus sweep** — every SELECT in the five domains' gold files (the
+  corpus, wild, dialogue and ambiguous records) runs through the engine
+  and the reference over one shared database, comparing results and
+  EXPLAIN;
 * **hypothesis sweep** — generated SELECTs over a NULL-heavy two-table
   schema: filters in all compiled shapes (comparisons, BETWEEN, IN,
   LIKE, IS NULL, AND/OR/NOT), arithmetic that can raise, inner/left
@@ -26,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import ALL_DOMAINS, load_bundle
+from repro.evaluation.goldsets import load_gold_records
 from repro.sqlengine import Database, Engine, expressions, parse_sql
 from tests.row_engine_reference import RowEngine
 
@@ -62,12 +64,8 @@ def _plan_nodes(plan):
 # ==========================================================================
 
 
-def _bundle_selects(bundle) -> list[str]:
-    out: list[str] = []
-    for example in bundle.corpus + bundle.wild:
-        out.append(example.gold_sql)
-    for dialogue in bundle.dialogues:
-        out.extend(turn.gold_sql for turn in dialogue)
+def _gold_selects(domain: str) -> list[str]:
+    out = [item.gold_sql for item in load_gold_records(domain)]
     return [sql for sql in out if sql.lstrip().upper().startswith("SELECT")]
 
 
@@ -84,7 +82,7 @@ def test_corpus_gold_sql_identical_across_paths(domain, monkeypatch):
         return plans[-1]
 
     monkeypatch.setattr(engine, "_plan_for", plan_for)
-    selects = _bundle_selects(bundle)
+    selects = _gold_selects(domain)
     assert selects, f"domain {domain} contributed no SELECTs"
     for sql in selects:
         assert_identical(reference, engine, sql)
@@ -97,7 +95,7 @@ def test_corpus_gold_sql_identical_across_paths(domain, monkeypatch):
 
 
 def test_corpus_sweep_is_substantial():
-    total = sum(len(_bundle_selects(load_bundle(d))) for d in ALL_DOMAINS)
+    total = sum(len(_gold_selects(d)) for d in ALL_DOMAINS)
     assert total >= 200, f"only {total} corpus SELECTs — corpora shrank?"
 
 

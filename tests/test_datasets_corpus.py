@@ -1,19 +1,40 @@
-"""Dataset integrity + corpus validity tests.
+"""Dataset integrity + gold question validity tests.
 
-The corpora embed gold SQL; every gold query must execute and the
-databases must be deterministic and referentially intact.
+The gold files embed gold SQL; every gold query of every record kind
+must execute against its domain's database, and the databases must be
+deterministic and referentially intact.
 """
 
 import pytest
 
-from repro.datasets import company, fleet, geography, load_bundle
+from repro.datasets import ALL_DOMAINS, company, fleet, geography, load_bundle
 from repro.errors import ReproError
+from repro.evaluation.goldsets import dialogue_scripts, load_gold_records, load_goldset
 from repro.sqlengine import Engine
 
+#: Constructs every domain's corpus exercises.
+CONSTRUCTS = {
+    "select",
+    "count",
+    "agg",
+    "super",
+    "compare",
+    "negation",
+    "member",
+    "nested",
+    "group",
+    "order",
+}
 
-@pytest.fixture(scope="module", params=["fleet", "company", "geography", "saas", "events"])
+
+@pytest.fixture(scope="module", params=ALL_DOMAINS)
 def bundle(request):
     return load_bundle(request.param)
+
+
+@pytest.fixture(scope="module")
+def corpus(bundle):
+    return load_goldset(bundle.name)
 
 
 class TestDatabases:
@@ -67,80 +88,84 @@ class TestDatabases:
 
 
 class TestCorpora:
-    def test_gold_sql_executes(self, bundle):
+    def test_gold_sql_executes(self, bundle, corpus):
         engine = Engine(bundle.database)
-        for example in bundle.corpus:
-            result = engine.execute(example.gold_sql)
-            assert result.columns, example.question
+        for item in corpus:
+            result = engine.execute(item.gold_sql)
+            assert result.columns, item.question
 
     def test_wild_gold_sql_executes(self, bundle):
         engine = Engine(bundle.database)
-        for example in bundle.wild:
-            engine.execute(example.gold_sql)
+        wild = load_goldset(bundle.name, kind="wild")
+        assert wild
+        for item in wild:
+            engine.execute(item.gold_sql)
 
     def test_dialogue_gold_sql_executes(self, bundle):
         engine = Engine(bundle.database)
-        for script in bundle.dialogues:
+        scripts = dialogue_scripts(load_gold_records(bundle.name))
+        assert scripts
+        for script in scripts:
+            assert not script[0].followup
             for turn in script:
                 engine.execute(turn.gold_sql)
 
-    def test_corpus_size(self, bundle):
-        assert len(bundle.corpus) >= 60
+    def test_corpus_size(self, corpus):
+        assert len(corpus) >= 60
 
-    def test_every_example_tagged(self, bundle):
-        for example in bundle.corpus:
-            assert example.features, example.question
-            assert example.domain == bundle.name
+    def test_every_example_tagged(self, bundle, corpus):
+        for item in corpus:
+            assert item.tags, item.question
+            assert item.domain == bundle.name
 
-    def test_feature_coverage(self, bundle):
+    def test_feature_coverage(self, corpus):
         tags = set()
-        for example in bundle.corpus:
-            tags |= example.features
-        assert {"select", "count", "agg", "super", "compare",
-                "negation", "member", "nested", "group", "order"} <= tags
+        for item in corpus:
+            tags |= set(item.tags)
+        assert CONSTRUCTS <= tags
 
-    def test_no_duplicate_questions(self, bundle):
-        questions = [e.question for e in bundle.corpus]
+    def test_no_duplicate_questions(self, corpus):
+        questions = [item.question for item in corpus]
         assert len(questions) == len(set(questions))
 
     def test_unknown_domain_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown domain 'atlantis'"):
             load_bundle("atlantis")
 
 
 class TestBaselinesOnCorpora:
-    def test_keyword_baseline_answers_simple_lookups(self, bundle):
+    def test_keyword_baseline_answers_simple_lookups(self, bundle, corpus):
         from repro.baselines import KeywordBaseline
         from repro.evalkit import answers_match
 
         baseline = KeywordBaseline(bundle.database, bundle.model)
         engine = Engine(bundle.database)
-        simple = [e for e in bundle.corpus if e.features == frozenset({"select"})]
+        simple = [item for item in corpus if item.tags == ("select",)]
         assert simple
         wins = 0
-        for example in simple:
+        for item in simple:
             try:
-                produced = baseline.answer(example.question)
+                produced = baseline.answer(item.question)
             except ReproError:
                 continue
-            if answers_match(produced, engine.execute(example.gold_sql)):
+            if answers_match(produced, engine.execute(item.gold_sql)):
                 wins += 1
         assert wins >= len(simple) // 2  # handles at least half of plain lists
 
-    def test_keyword_baseline_fails_on_comparisons(self, bundle):
+    def test_keyword_baseline_fails_on_comparisons(self, bundle, corpus):
         from repro.baselines import KeywordBaseline
         from repro.evalkit import answers_match
 
         baseline = KeywordBaseline(bundle.database, bundle.model)
         engine = Engine(bundle.database)
-        hard = [e for e in bundle.corpus if "compare" in e.features]
+        hard = [item for item in corpus if "compare" in item.tags]
         correct = 0
-        for example in hard:
+        for item in hard:
             try:
-                produced = baseline.answer(example.question)
+                produced = baseline.answer(item.question)
             except ReproError:
                 continue
-            if answers_match(produced, engine.execute(example.gold_sql)):
+            if answers_match(produced, engine.execute(item.gold_sql)):
                 correct += 1
         assert correct <= len(hard) // 4  # structurally incapable
 
