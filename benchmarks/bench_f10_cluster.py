@@ -77,7 +77,7 @@ def _start_server(*extra_args: str) -> tuple[subprocess.Popen, str]:
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
         try:
-            if _get(url, "/healthz").get("status") == "ok":
+            if _get(url, "/v1/healthz").get("status") == "ok":
                 return proc, url
         except (urllib.error.URLError, ConnectionError):
             pass
@@ -107,7 +107,7 @@ def _post(url: str, path: str, payload: dict) -> tuple[int, dict]:
 def _wait_healthy(url: str, timeout: float = 30.0) -> None:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if _get(url, "/healthz").get("status") == "ok":
+        if _get(url, "/v1/healthz").get("status") == "ok":
             return
         time.sleep(0.1)
     raise AssertionError("pool never returned to full strength")
@@ -126,14 +126,14 @@ def _measure_ask_qps(url: str) -> float:
         for i in range(QUESTIONS_PER_ASKER):
             question = QUESTIONS[(k + i) % len(QUESTIONS)]
             code, envelope = _post(
-                url, "/ask", {"question": question, "session": sid}
+                url, "/v1/ask", {"question": question, "session": sid}
             )
             if code != 200:
                 errors.append((code, envelope))
 
     # Warm each worker's grammar paths before the timed run.
     for k in range(ASKERS):
-        _post(url, "/ask", {"question": QUESTIONS[k % len(QUESTIONS)],
+        _post(url, "/v1/ask", {"question": QUESTIONS[k % len(QUESTIONS)],
                             "session": f"f10-warm-{k}"})
     threads = [threading.Thread(target=asker, args=(k,)) for k in range(ASKERS)]
     start = time.perf_counter()
@@ -159,7 +159,7 @@ def test_f10_process_pool_scales_ask_throughput():
     proc, url = _start_server("--procs", "2", "--workers", "4")
     try:
         cluster_qps = _measure_ask_qps(url)
-        stats = _get(url, "/stats")
+        stats = _get(url, "/v1/stats")
         assert stats["cluster"]["procs"] == 2
         assert stats["cluster"]["all_live"]
     finally:
@@ -207,7 +207,7 @@ def test_f10_kill9_storm_loses_no_acked_statement():
         row_id = 3000
         while not stop_storm.is_set():
             row_id += 1
-            code, _ = _post(url, "/sql", {
+            code, _ = _post(url, "/v1/sql", {
                 "sql": "INSERT INTO port (id, name, country) "
                        f"VALUES ({row_id}, 'storm{row_id}', 'x')"
             })
@@ -220,7 +220,7 @@ def test_f10_kill9_storm_loses_no_acked_statement():
     def ask_storm(k: int) -> None:
         i = 0
         while not stop_storm.is_set():
-            code, envelope = _post(url, "/ask", {
+            code, envelope = _post(url, "/v1/ask", {
                 "question": QUESTIONS[(k + i) % len(QUESTIONS)],
                 "session": f"storm-{k}",
             })
@@ -233,11 +233,11 @@ def test_f10_kill9_storm_loses_no_acked_statement():
         # round-robins, so a few tries always find one).
         clar_id, owner = None, 0
         for _ in range(12):
-            code, wire = _post(url, "/ask", {
+            code, wire = _post(url, "/v1/ask", {
                 "question": "ships from norfolk", "clarify": True,
             })
             assert code == 409 and wire["clarification_id"], wire
-            owners = _get(url, "/stats")["cluster"]["domains"]["fleet"][
+            owners = _get(url, "/v1/stats")["cluster"]["domains"]["fleet"][
                 "clarification_owners"
             ]
             owner = owners[wire["clarification_id"]]
@@ -256,14 +256,14 @@ def test_f10_kill9_storm_loses_no_acked_statement():
 
         # Phase 1: SIGKILL the reader that owns the parked clarification.
         pids = {w["index"]: w["pid"]
-                for w in _get(url, "/stats")["cluster"]["workers"]}
+                for w in _get(url, "/v1/stats")["cluster"]["workers"]}
         os.kill(pids[owner], signal.SIGKILL)
         _wait_healthy(url)
         time.sleep(0.5)
 
         # Phase 2: SIGKILL the writer mid-storm.
         pids = {w["index"]: w["pid"]
-                for w in _get(url, "/stats")["cluster"]["workers"]}
+                for w in _get(url, "/v1/stats")["cluster"]["workers"]}
         os.kill(pids[0], signal.SIGKILL)
         _wait_healthy(url)
         time.sleep(0.5)
@@ -278,13 +278,13 @@ def test_f10_kill9_storm_loses_no_acked_statement():
         # Zero acked loss: every 200-acked INSERT is on every worker.
         assert acked, "the storm never landed a write"
         for _ in range(6):
-            count = _post(url, "/sql", {
+            count = _post(url, "/v1/sql", {
                 "sql": "SELECT COUNT(*) FROM port WHERE id > 3000"
             })[1]["rows"][0][0]
             assert count == len(acked), (count, len(acked))
 
         # The pre-crash clarification resolved on a sibling (handoff).
-        code, resolved = _post(url, "/resolve", {
+        code, resolved = _post(url, "/v1/resolve", {
             "clarification_id": clar_id, "choice": choices[0]["index"],
         })
         assert code == 200, resolved
@@ -292,7 +292,7 @@ def test_f10_kill9_storm_loses_no_acked_statement():
         assert resolved["answer"]["sql"] == choices[0]["sql"]
 
         restarts = sum(
-            w["restarts"] for w in _get(url, "/stats")["cluster"]["workers"]
+            w["restarts"] for w in _get(url, "/v1/stats")["cluster"]["workers"]
         )
         assert restarts >= 2
     finally:

@@ -110,7 +110,7 @@ def _wait_healthy(url: str, timeout: float = 30.0) -> None:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         try:
-            if _get(url, "/healthz").get("status") == "ok":
+            if _get(url, "/v1/healthz").get("status") == "ok":
                 return
         except (urllib.error.URLError, ConnectionError):
             pass
@@ -252,18 +252,20 @@ def test_f11_push_survives_cluster_owner_sigkill():
 
         pre_kill = _push_roundtrip(url, 51000, count + 1, response)
 
-        owners = _get(url, "/stats")["cluster"]["domains"]["fleet"][
+        owners = _get(url, "/v1/stats")["cluster"]["domains"]["fleet"][
             "subscription_owners"
         ]
         owner = owners[hello["subscription"]]
-        pids = {w["index"]: w["pid"] for w in _get(url, "/stats")["cluster"]["workers"]}
+        pids = {
+            w["index"]: w["pid"] for w in _get(url, "/v1/stats")["cluster"]["workers"]
+        }
         os.kill(pids[owner], signal.SIGKILL)
 
         # The failover re-registration re-evaluates and pushes current.
         failover = _read_answer(response)
         assert failover["envelope"]["answer"]["rows"][0][0] == count + 1
         _wait_healthy(url)
-        stats = _get(url, "/stats")["cluster"]["domains"]["fleet"]
+        stats = _get(url, "/v1/stats")["cluster"]["domains"]["fleet"]
         new_owner = stats["subscription_owners"][hello["subscription"]]
         assert new_owner != owner
         assert stats["router"]["subscription_handoffs"] >= 1

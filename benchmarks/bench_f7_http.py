@@ -14,13 +14,13 @@ subprocess on an ephemeral loopback port:
   finishes >= 2x faster than as serial round-trips (observed ~4x with 4
   askers).
 
-* **A pending clarification survives ``kill -9``.**  With ``--state``,
-  the server appends every session turn and parked clarification to a
-  JSONL log.  We ask an ambiguous question, get 409 + choices +
-  ``clarification_id``, SIGKILL the server mid-dialog, restart it on the
-  same log, and resolve the *old* id against the new process: the answer
-  must be exactly the choice's SQL, and a session follow-up must still
-  bind to the clarified reading.
+* **A pending clarification survives ``kill -9``.**  With
+  ``--data-dir``, the server appends every session turn and parked
+  clarification to ``DIR/sessions.jsonl``.  We ask an ambiguous
+  question, get 409 + choices + ``clarification_id``, SIGKILL the server
+  mid-dialog, restart it on the same directory, and resolve the *old* id
+  against the new process: the answer must be exactly the choice's SQL,
+  and a session follow-up must still bind to the clarified reading.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _start_server(*extra_args: str) -> tuple[subprocess.Popen, str]:
     deadline = time.monotonic() + 10
     while time.monotonic() < deadline:
         try:
-            _get(url, "/healthz")
+            _get(url, "/v1/healthz")
             return proc, url
         except (urllib.error.URLError, ConnectionError):
             time.sleep(0.05)
@@ -105,7 +105,7 @@ def _asker(url: str, count: int, offset: int) -> None:
     """One user: ``count`` questions, thinking between round trips."""
     for i in range(count):
         question = QUESTIONS[(offset + i) % len(QUESTIONS)]
-        code, envelope = _post(url, "/ask", {"question": question})
+        code, envelope = _post(url, "/v1/ask", {"question": question})
         assert code == 200, (question, envelope)
         time.sleep(THINK_S)
 
@@ -131,7 +131,7 @@ def test_f7_concurrent_askers_vs_serial_round_trips():
             thread.join()
         concurrent_s = time.perf_counter() - start
 
-        stats = _get(url, "/stats")
+        stats = _get(url, "/v1/stats")
         assert stats["http"]["requests"] >= 2 * total
     finally:
         proc.kill()
@@ -158,12 +158,12 @@ def test_f7_concurrent_askers_vs_serial_round_trips():
 
 
 def test_f7_pending_clarification_survives_kill():
-    state = Path(tempfile.mkdtemp(prefix="f7-state-")) / "sessions.jsonl"
-    serve_args = ("--state", str(state), "--clarify-margin", "10")
+    data_dir = Path(tempfile.mkdtemp(prefix="f7-data-"))
+    serve_args = ("--data-dir", str(data_dir), "--clarify-margin", "10")
 
     proc, url = _start_server(*serve_args)
     try:
-        code, ambiguous = _post(url, "/ask", {
+        code, ambiguous = _post(url, "/v1/ask", {
             "question": "ships from norfolk",
             "clarify": True,
             "session": "f7-user",
@@ -177,7 +177,7 @@ def test_f7_pending_clarification_survives_kill():
     proc, url = _start_server(*serve_args)
     try:
         picked = ambiguous["choices"][1]
-        code, resolved = _post(url, "/resolve", {
+        code, resolved = _post(url, "/v1/resolve", {
             "clarification_id": ambiguous["clarification_id"],
             "choice": picked["index"],
         })
@@ -185,7 +185,7 @@ def test_f7_pending_clarification_survives_kill():
         assert resolved["status"] == "answered"
         assert resolved["answer"]["sql"] == picked["sql"]
 
-        code, followup = _post(url, "/ask", {
+        code, followup = _post(url, "/v1/ask", {
             "question": "how many of them are there",
             "session": "f7-user",
         })
@@ -199,7 +199,7 @@ def test_f7_pending_clarification_survives_kill():
         ["step", "outcome"],
         [
             ["ask (clarify) -> 409 + choices", "ok"],
-            ["kill -9, restart on --state log", "ok"],
+            ["kill -9, restart on --data-dir log", "ok"],
             ["resolve pre-crash clarification id", resolved["status"]],
             ["session follow-up after restart", followup["status"]],
         ],

@@ -92,7 +92,7 @@ def _start_server(*extra_args: str) -> tuple[subprocess.Popen, str]:
     deadline = time.monotonic() + 10
     while time.monotonic() < deadline:
         try:
-            _get(url, "/healthz")
+            _get(url, "/v1/healthz")
             return proc, url
         except (urllib.error.URLError, ConnectionError):
             time.sleep(0.05)
@@ -106,7 +106,7 @@ def _get(url: str, path: str) -> dict:
 
 def _sql(url: str, statement: str) -> dict:
     request = urllib.request.Request(
-        url + "/sql",
+        url + "/v1/sql",
         data=json.dumps({"sql": statement}).encode("utf-8"),
         method="POST",
     )
@@ -154,7 +154,7 @@ def test_f9_kill9_during_write_storm_loses_no_acked_rows():
         survivors = _scalar(
             url, "SELECT COUNT(*) FROM ship WHERE id >= 1000"
         )
-        stats = _get(url, "/stats")["service"]
+        stats = _get(url, "/v1/stats")["service"]
         recovery_ms = stats["storage_recovery_ms"]
         replayed = stats["storage_replayed_statements"]
         restored = stats["storage_recovered_rows"]

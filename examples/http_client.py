@@ -9,7 +9,7 @@ then run the demo conversation (ask, clarify, resolve, follow-up)::
     python examples/http_client.py --url http://127.0.0.1:8977
 
 The same script doubles as the load generator used by
-``benchmarks/bench_f7_http.py``: ``--bench N`` fires N ``/ask`` requests
+``benchmarks/bench_f7_http.py``: ``--bench N`` fires N ``/v1/ask`` requests
 (a fresh connection per request — honest serial round-trips) and prints
 one JSON line of timings, so the benchmark can run several copies as
 separate *processes* and measure concurrent throughput against the
@@ -122,7 +122,7 @@ def main() -> int:
     parser.add_argument("--url", default="http://127.0.0.1:8977")
     parser.add_argument(
         "--bench", type=int, default=None, metavar="N",
-        help="fire N /ask requests and print JSON timings instead of the demo",
+        help="fire N /v1/ask requests and print JSON timings instead of the demo",
     )
     parser.add_argument(
         "--questions", default=";".join(DEMO_QUESTIONS),

@@ -10,44 +10,26 @@ why the semantic-grammar system beats it (Table 2).
 
 from __future__ import annotations
 
-from repro.baselines.protocol import ResponseProtocolMixin
+from repro.baselines.base import Baseline
 from repro.errors import InterpretationError
-from repro.lexicon.builder import build_lexicon
-from repro.lexicon.domain import DomainModel
 from repro.lexicon.entries import CategoricalEntity, Category
-from repro.logical.forms import EntityRef, LogicalQuery, Aggregate, ValueCondition
-from repro.core.sqlgen import SqlGenerator
+from repro.logical.forms import (
+    Aggregate,
+    EntityRef,
+    LogicalQuery,
+    ValueCondition,
+    ValueRef,
+)
 from repro.nlp.stemmer import stem
 from repro.nlp.stopwords import STOPWORDS
-from repro.nlp.tokenizer import tokenize
-from repro.schemagraph.graph import SchemaGraph
-from repro.sqlengine.database import Database
-from repro.sqlengine.executor import Engine
-from repro.sqlengine.result import ResultSet
-from repro.valueindex.index import ValueIndex
 
 
-class KeywordBaseline(ResponseProtocolMixin):
-    """Keyword matcher over schema terms and data values.
-
-    ``answer()`` returns raw rows (raising on failure, the legacy
-    surface); ``ask()`` — from the mixin — speaks the Response protocol
-    the evalkit compares every system through.
-    """
+class KeywordBaseline(Baseline):
+    """Keyword matcher over schema terms and data values."""
 
     name = "keyword lookup"
 
-    def __init__(self, database: Database, domain: DomainModel | None = None) -> None:
-        self.database = database
-        self.domain = domain
-        self.engine = Engine(database)
-        self.lexicon = build_lexicon(database, domain)
-        self.value_index = ValueIndex(database)
-        self.graph = SchemaGraph(database)
-        self.sqlgen = SqlGenerator(database, self.graph, domain)
-
-    def answer(self, question: str) -> ResultSet:
-        words = [t.text for t in tokenize(question).tokens]
+    def _query(self, question: str, words: list[str]) -> LogicalQuery:
         count_mode = "how" in words and "many" in words
         content = [w for w in words if w not in STOPWORDS]
         stems = [stem(w) for w in content]
@@ -76,9 +58,7 @@ class KeywordBaseline(ResponseProtocolMixin):
             if hits:
                 length, hit = hits[0]
                 conditions.append(
-                    ValueCondition(
-                        _value_ref(hit.table, hit.column, hit.value)
-                    )
+                    ValueCondition(ValueRef(hit.table, hit.column, hit.value))
                 )
                 i += length
                 continue
@@ -99,15 +79,8 @@ class KeywordBaseline(ResponseProtocolMixin):
             seen.add(key)
             unique.append(condition)
 
-        query = LogicalQuery(
+        return LogicalQuery(
             target=entity,
             aggregate=Aggregate("count") if count_mode else None,
             conditions=tuple(unique),
         )
-        return self.engine.execute(self.sqlgen.generate(query))
-
-
-def _value_ref(table: str, column: str, value):
-    from repro.logical.forms import ValueRef
-
-    return ValueRef(table, column, value)

@@ -9,11 +9,8 @@ were designed to overcome.
 
 from __future__ import annotations
 
-from repro.baselines.protocol import ResponseProtocolMixin
+from repro.baselines.base import Baseline
 from repro.errors import ParseFailure
-from repro.core.sqlgen import SqlGenerator
-from repro.lexicon.builder import build_lexicon
-from repro.lexicon.domain import DomainModel
 from repro.lexicon.entries import CategoricalEntity, Category
 from repro.logical.forms import (
     Aggregate,
@@ -24,35 +21,18 @@ from repro.logical.forms import (
     ValueRef,
 )
 from repro.nlp.stemmer import stem
-from repro.nlp.tokenizer import tokenize
-from repro.schemagraph.graph import SchemaGraph
-from repro.sqlengine.database import Database
-from repro.sqlengine.executor import Engine
-from repro.sqlengine.result import ResultSet
-from repro.valueindex.index import ValueIndex
 
 
-class TemplateBaseline(ResponseProtocolMixin):
-    """Five fixed patterns; everything else is a parse failure.
-
-    ``answer()`` returns raw rows (raising on failure, the legacy
-    surface); ``ask()`` — from the mixin — speaks the Response protocol
-    the evalkit compares every system through.
-    """
+class TemplateBaseline(Baseline):
+    """Five fixed patterns; everything else is a parse failure."""
 
     name = "pattern templates"
 
-    def __init__(self, database: Database, domain: DomainModel | None = None) -> None:
-        self.database = database
-        self.engine = Engine(database)
-        self.lexicon = build_lexicon(database, domain)
-        self.value_index = ValueIndex(database)
-        self.graph = SchemaGraph(database)
-        self.sqlgen = SqlGenerator(database, self.graph, domain)
-
     # -- slot matchers ------------------------------------------------------
 
-    def _entity_at(self, words: list[str], i: int) -> tuple[int, EntityRef, list] | None:
+    def _entity_at(
+        self, words: list[str], i: int
+    ) -> tuple[int, EntityRef, list] | None:
         stems = [stem(w) for w in words]
         for length, entry in self.lexicon.prefix_matches(stems, i):
             if entry.category is Category.ENTITY:
@@ -86,9 +66,8 @@ class TemplateBaseline(ResponseProtocolMixin):
 
     # -- the patterns ----------------------------------------------------------
 
-    def answer(self, question: str) -> ResultSet:
-        words = self._drop_articles([t.text for t in tokenize(question).tokens])
-
+    def _query(self, question: str, words: list[str]) -> LogicalQuery:
+        words = self._drop_articles(words)
         query = (
             self._pattern_how_many(words)
             or self._pattern_attr_of_value(words)
@@ -98,13 +77,17 @@ class TemplateBaseline(ResponseProtocolMixin):
         )
         if query is None:
             raise ParseFailure(f"no template matches: {question!r}")
-        return self.engine.execute(self.sqlgen.generate(query))
+        return query
 
     def _pattern_how_many(self, words: list[str]) -> LogicalQuery | None:
         """how many E [in V] [are there]"""
         if words[:2] != ["how", "many"]:
             return None
-        rest = [w for w in words[2:] if w not in ("are", "there", "is", "in", "of", "does", "have")]
+        rest = [
+            w
+            for w in words[2:]
+            if w not in ("are", "there", "is", "in", "of", "does", "have")
+        ]
         entity_match = self._entity_at(rest, 0)
         if entity_match is None:
             return None
@@ -143,7 +126,14 @@ class TemplateBaseline(ResponseProtocolMixin):
 
     def _pattern_show_entity_in_value(self, words: list[str]) -> LogicalQuery | None:
         """show E in V"""
-        if not words or words[0] not in ("show", "list", "display", "find", "which", "what"):
+        if not words or words[0] not in (
+            "show",
+            "list",
+            "display",
+            "find",
+            "which",
+            "what",
+        ):
             return None
         rest = words[1:]
         entity_match = self._entity_at(rest, 0)

@@ -194,8 +194,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="NAME[=DIR]",
         help="host an additional bundled domain on the same server, "
              "optionally durable under DIR; repeatable.  Routed by path "
-             "(/d/NAME/ask) or a 'domain' request field; the positional "
-             "domain stays the default for bare paths",
+             "(/v1/d/NAME/ask) or a 'domain' request field; the positional "
+             "domain stays the default for paths without one",
     )
     parser.add_argument(
         "--procs", type=int, default=1, metavar="N",
@@ -243,11 +243,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="committed WAL records between snapshot checkpoints; 0 "
              "checkpoints only at startup and graceful shutdown "
              "(default: 512)",
-    )
-    parser.add_argument(
-        "--state", default=None, metavar="PATH",
-        help="deprecated alias: JSONL session log only, no database "
-             "durability (use --data-dir, which also persists the data)",
     )
     parser.add_argument(
         "--qps", type=float, default=None, metavar="RATE",
@@ -328,15 +323,6 @@ def serve_main(argv: list[str] | None = None, stdout=None) -> int:
         parser.error("--respawn-delay must be >= 0")
     if args.request_timeout < 0:
         parser.error("--request-timeout must be >= 0 (0 disables it)")
-    if args.data_dir is not None and args.state is not None:
-        parser.error(
-            "--state is a deprecated alias superseded by --data-dir; "
-            "pass only --data-dir (the session log moves to "
-            "DIR/sessions.jsonl)"
-        )
-    if args.procs > 1 and args.state is not None:
-        parser.error("--state (sessions-only persistence) predates cluster "
-                     "mode; use --data-dir with --procs")
     stdout = stdout or sys.stdout
     specs = _serve_specs(parser, args)
     config = NliConfig(
@@ -355,8 +341,8 @@ def serve_main(argv: list[str] | None = None, stdout=None) -> int:
 
     # --data-dir consolidates everything durable under one directory:
     # WAL + checkpoints (via config.data_dir) and the session log beside
-    # them.  --state keeps the old sessions-only layout working.
-    persistence = args.state
+    # them.
+    persistence = None
     if args.data_dir is not None:
         import os
 

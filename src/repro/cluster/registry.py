@@ -1,7 +1,7 @@
 """Domain registry: which databases one server hosts, and where.
 
 A **domain** is one (database, domain model, corpus) bundle served under
-a route name: ``POST /d/fleet/ask`` or ``{"domain": "fleet", ...}`` in
+a route name: ``POST /v1/d/fleet/ask`` or ``{"domain": "fleet", ...}`` in
 the request body.  The registry is the single place the CLI's
 ``--domain NAME[=DIR]`` flags, the local multi-domain backend and the
 cluster supervisor agree on what exists:

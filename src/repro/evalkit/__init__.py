@@ -4,7 +4,6 @@ from repro.evalkit.corruption import corrupt_question, corrupt_word
 from repro.evalkit.harness import (
     DialogueEval,
     EvalResult,
-    NliSystem,
     evaluate_dialogues,
     evaluate_nli,
     evaluate_system,
@@ -24,7 +23,6 @@ from repro.evalkit.report import format_series, format_table, pct
 __all__ = [
     "DialogueEval",
     "EvalResult",
-    "NliSystem",
     "ResponseScore",
     "StageCounts",
     "Tally",

@@ -26,12 +26,10 @@ if TYPE_CHECKING:
 __all__ = [
     "DialogueEval",
     "EvalResult",
-    "NliSystem",
     "QuestionAnswerer",
     "evaluate_dialogues",
     "evaluate_nli",
     "evaluate_system",
-    "failure_stage",
     "per_feature_accuracy",
 ]
 
@@ -41,27 +39,6 @@ class QuestionAnswerer(Protocol):
 
     def ask(self, question: str) -> Response:  # pragma: no cover
         ...
-
-
-class NliSystem:
-    """Adapter: the full NLI pipeline as a QuestionAnswerer."""
-
-    name = "semantic-grammar NLI"
-
-    def __init__(self, bundle: DomainBundle, config: NliConfig | None = None) -> None:
-        self.nli = NaturalLanguageInterface(
-            bundle.database, domain=bundle.model, config=config
-        )
-
-    def ask(self, question: str) -> Response:
-        return self.nli.ask(question)
-
-    def answer(self, question: str):
-        """Legacy accessor: the raw ResultSet (raises on failure)."""
-        response = self.nli.ask(question)
-        response.raise_for_status()
-        assert response.answer is not None
-        return response.answer.result
 
 
 @dataclass

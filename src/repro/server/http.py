@@ -13,17 +13,15 @@ POST      /v1/resolve            ``{"clarification_id", "choice"}`` -> envelope
 POST      /v1/sql                ``{"sql", "limit"?, "cursor"?}``
                                  -> ``{"columns", "rows", ...}``
 GET       /v1/subscribe?...      standing subscription: a chunked stream of
-                                 JSON answer frames (v1-only, no bare alias)
+                                 JSON answer frames
 GET       /v1/stats              service + http counters
 GET       /v1/healthz            liveness probe
 any       /v1/d/<domain>/<ep>    the same endpoints, scoped to one domain
 ========  =====================  ===========================================
 
-The API is mounted under the ``/v1`` version prefix; the bare legacy
-paths (``/ask``, ``/d/geography/ask``, …) remain as aliases that answer
-identically **plus** a ``Deprecation: true`` header, so pre-v1 clients
-keep working while announcing their migration path.  The streaming
-endpoint is v1-only.
+The API is mounted under the ``/v1`` version prefix and nowhere else:
+a path outside it (``/ask``, ``/d/geography/ask``, …) is a 404
+``unknown_endpoint`` whose message names the ``/v1`` spelling.
 
 Status mapping follows the CLI's 0/2/3 exit-code convention:
 ``ANSWERED`` -> 200, ``AMBIGUOUS`` / ``NEEDS_CLARIFICATION`` -> 409 (the
@@ -76,8 +74,9 @@ A *stream* (returned by ``subscribe``) exposes ``id`` / ``question`` /
 timeout — the heartbeat tick) and ``await aclose()``.
 
 **Multi-domain.**  One server hosts many databases: route by path
-prefix (``/d/geography/ask``) or by a ``"domain"`` body field; bare
-paths hit the default domain, so the single-domain API is unchanged.
+prefix (``/v1/d/geography/ask``) or by a ``"domain"`` body field; paths
+without a domain prefix hit the default domain, so the single-domain API
+is unchanged.
 Layered on top is an optional **per-domain rate limiter**: a token
 bucket per domain, charged *before* the per-client bucket and refunded
 if the per-client check rejects — all-or-nothing, so one hot domain
@@ -617,16 +616,18 @@ class NliHttpServer:
     # -- routing -----------------------------------------------------------
 
     def _split_domain(self, path: str) -> tuple[str | None, str]:
-        """``/d/<domain>/<endpoint>`` -> (domain, /endpoint); bare paths
-        pass through with no domain (resolved later from the body or the
-        default)."""
+        """``/d/<domain>/<endpoint>`` (the path after ``/v1``) ->
+        (domain, /endpoint); other paths pass through with no domain
+        (resolved later from the body or the default)."""
         if not path.startswith("/d/"):
             return None, path
         rest = path[3:]
         domain, sep, endpoint = rest.partition("/")
         if not domain or not sep or not endpoint:
             raise ApiError(
-                404, f"domain paths look like /d/<domain>/ask: {path}", "bad_path"
+                404,
+                f"domain paths look like /v1/d/<domain>/ask: /v1{path}",
+                "bad_path",
             )
         if domain not in self.backend.domains():
             raise ApiError(404, f"no such domain: {domain}", "unknown_domain")
@@ -655,9 +656,13 @@ class NliHttpServer:
         self, method: str, path: str, body: bytes, client_ip: str
     ) -> tuple[int, Any, dict[str, str]] | _StreamPlan:
         path, _, query_string = path.partition("?")
-        versioned = path == "/v1" or path.startswith("/v1/")
-        if versioned:
-            path = path[3:] or "/"
+        if path != "/v1" and not path.startswith("/v1/"):
+            raise ApiError(
+                404,
+                f"the API is mounted under /v1: {method} /v1{path}",
+                "unknown_endpoint",
+            )
+        path = path[3:] or "/"
         domain, endpoint = self._split_domain(path)
         if endpoint == "/subscribe":
             if method != "GET":
@@ -666,13 +671,6 @@ class NliHttpServer:
                 )
                 error.headers["Allow"] = "GET"
                 raise error
-            if not versioned:
-                # Streaming endpoints are v1-only: no legacy alias.
-                raise ApiError(
-                    404,
-                    "subscriptions are v1-only: GET /v1/subscribe?question=...",
-                    "unknown_endpoint",
-                )
             params = {
                 key: values[-1]
                 for key, values in urllib.parse.parse_qs(query_string).items()
@@ -700,16 +698,10 @@ class NliHttpServer:
             raise ApiError(404, f"no such endpoint: {path}", "unknown_endpoint")
         if method == "POST":
             parsed = _parse_json_body(body)
-            result = await handler(
+            return await handler(
                 self._resolve_domain(domain, parsed), parsed, client_ip
             )
-        else:
-            result = await handler(domain, client_ip)
-        if not versioned:
-            # Legacy (unversioned) alias: same answer, plus the signpost.
-            code, payload, extra = result
-            result = code, payload, {**extra, "Deprecation": "true"}
-        return result
+        return await handler(domain, client_ip)
 
     # -- the layered rate limiter ------------------------------------------
 

@@ -61,7 +61,7 @@ class ClusterProc:
             return error.code, json.loads(error.read()), error.headers
 
     def stats(self) -> dict:
-        return self.get("/stats")[1]
+        return self.get("/v1/stats")[1]
 
     def worker_pids(self) -> dict[int, int]:
         return {
@@ -92,7 +92,7 @@ class ClusterProc:
     def wait_healthy(self, timeout: float = 20.0) -> None:
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if self.get("/healthz")[0] == 200:
+            if self.get("/v1/healthz")[0] == 200:
                 return
             time.sleep(0.1)
         raise AssertionError("pool never returned to full strength")
@@ -129,31 +129,37 @@ class TestBasics:
     def test_ask_round_robins_across_live_workers(self, cluster):
         for _ in range(6):
             code, wire, _ = cluster.post(
-                "/ask", {"question": "how many ships are there"}
+                "/v1/ask", {"question": "how many ships are there"}
             )
             assert code == 200
             assert wire["status"] == "answered"
 
     def test_domain_routing_by_path_and_body(self, cluster):
         code, wire, _ = cluster.post(
-            "/d/geography/ask", {"question": "which rivers are in the usa"}
+            "/v1/d/geography/ask", {"question": "which rivers are in the usa"}
         )
         assert code == 200
         code2, wire2, _ = cluster.post(
-            "/ask",
+            "/v1/ask",
             {"question": "which rivers are in the usa", "domain": "geography"},
         )
         assert code2 == 200
         assert wire2["status"] == wire["status"]
+        code3, wire3, _ = cluster.post(
+            "/d/geography/ask", {"question": "which rivers are in the usa"}
+        )
+        assert code3 == 404
+        assert wire3["error"]["code"] == "unknown_endpoint"
+        assert "/v1/d/geography/ask" in wire3["error"]["message"]
 
     def test_unknown_domain_404(self, cluster):
-        code, wire, _ = cluster.post("/d/narnia/ask", {"question": "hello"})
+        code, wire, _ = cluster.post("/v1/d/narnia/ask", {"question": "hello"})
         assert code == 404
         assert wire["error"]["code"] == "unknown_domain"
 
     def test_healthz_reports_every_worker(self, cluster):
         cluster.wait_healthy()
-        code, wire, _ = cluster.get("/healthz")
+        code, wire, _ = cluster.get("/v1/healthz")
         assert code == 200
         assert wire["status"] == "ok"
         assert [w["index"] for w in wire["workers"]] == [0, 1, 2]
@@ -174,50 +180,50 @@ class TestBasics:
 class TestWritePath:
     def test_read_your_writes_on_every_worker(self, cluster):
         cluster.wait_healthy()
-        code, before, _ = cluster.post("/sql", {"sql": "SELECT COUNT(*) FROM port"})
+        code, before, _ = cluster.post("/v1/sql", {"sql": "SELECT COUNT(*) FROM port"})
         n = before["rows"][0][0]
         code, wire, _ = cluster.post(
-            "/sql", {"sql": INSERT.format(id=900, name="rr")}
+            "/v1/sql", {"sql": INSERT.format(id=900, name="rr")}
         )
         assert code == 200
         # Round-robin hits every worker: the replicated write must be
         # visible on all of them before the ack (no stale sibling).
         for _ in range(6):
             code, wire, _ = cluster.post(
-                "/sql", {"sql": "SELECT COUNT(*) FROM port"}
+                "/v1/sql", {"sql": "SELECT COUNT(*) FROM port"}
             )
             assert wire["rows"][0][0] == n + 1
 
     def test_transaction_spans_requests_and_commits_everywhere(self, cluster):
         cluster.wait_healthy()
-        n = cluster.post("/sql", {"sql": "SELECT COUNT(*) FROM port"})[1]["rows"][0][0]
-        assert cluster.post("/sql", {"sql": "BEGIN"})[0] == 200
+        n = cluster.post("/v1/sql", {"sql": "SELECT COUNT(*) FROM port"})[1]["rows"][0][0]
+        assert cluster.post("/v1/sql", {"sql": "BEGIN"})[0] == 200
         assert cluster.post(
-            "/sql", {"sql": INSERT.format(id=901, name="txn")}
+            "/v1/sql", {"sql": INSERT.format(id=901, name="txn")}
         )[0] == 200
-        assert cluster.post("/sql", {"sql": "COMMIT"})[0] == 200
+        assert cluster.post("/v1/sql", {"sql": "COMMIT"})[0] == 200
         for _ in range(6):
             count = cluster.post(
-                "/sql", {"sql": "SELECT COUNT(*) FROM port"}
+                "/v1/sql", {"sql": "SELECT COUNT(*) FROM port"}
             )[1]["rows"][0][0]
             assert count == n + 1
 
     def test_rollback_leaves_no_trace(self, cluster):
         cluster.wait_healthy()
-        n = cluster.post("/sql", {"sql": "SELECT COUNT(*) FROM port"})[1]["rows"][0][0]
-        assert cluster.post("/sql", {"sql": "BEGIN"})[0] == 200
+        n = cluster.post("/v1/sql", {"sql": "SELECT COUNT(*) FROM port"})[1]["rows"][0][0]
+        assert cluster.post("/v1/sql", {"sql": "BEGIN"})[0] == 200
         assert cluster.post(
-            "/sql", {"sql": INSERT.format(id=902, name="gone")}
+            "/v1/sql", {"sql": INSERT.format(id=902, name="gone")}
         )[0] == 200
-        assert cluster.post("/sql", {"sql": "ROLLBACK"})[0] == 200
+        assert cluster.post("/v1/sql", {"sql": "ROLLBACK"})[0] == 200
         for _ in range(6):
             count = cluster.post(
-                "/sql", {"sql": "SELECT COUNT(*) FROM port"}
+                "/v1/sql", {"sql": "SELECT COUNT(*) FROM port"}
             )[1]["rows"][0][0]
             assert count == n
 
     def test_engine_error_maps_to_422(self, cluster):
-        code, wire, _ = cluster.post("/sql", {"sql": "SELECT * FROM nope"})
+        code, wire, _ = cluster.post("/v1/sql", {"sql": "SELECT * FROM nope"})
         assert code == 422
         assert wire["error"]["code"] == "engine_error"
 
@@ -231,7 +237,7 @@ class TestFailure:
         cluster.wait_healthy()
         sid = "kill-reader"
         code, wire, _ = cluster.post(
-            "/ask", {"question": "how many ships are there", "session": sid}
+            "/v1/ask", {"question": "how many ships are there", "session": sid}
         )
         assert code == 200
         owner = self._session_owner(cluster, "fleet", sid)
@@ -240,7 +246,7 @@ class TestFailure:
         # off and retries on a sibling — the client just sees 200.
         cluster.kill_worker(owner, wait=False)
         code, wire, _ = cluster.post(
-            "/ask", {"question": "how many fleets are there", "session": sid}
+            "/v1/ask", {"question": "how many fleets are there", "session": sid}
         )
         assert code == 200
         assert wire["status"] == "answered"
@@ -251,7 +257,7 @@ class TestFailure:
     def test_clarification_survives_owner_death(self, cluster):
         cluster.wait_healthy()
         code, wire, _ = cluster.post(
-            "/ask", {"question": "ships from norfolk", "clarify": True}
+            "/v1/ask", {"question": "ships from norfolk", "clarify": True}
         )
         assert code == 409 and wire["clarification_id"]
         clar_id = wire["clarification_id"]
@@ -262,7 +268,7 @@ class TestFailure:
         cluster.kill_worker(owner)
         time.sleep(0.3)
         code, resolved, _ = cluster.post(
-            "/resolve", {"clarification_id": clar_id, "choice": 0}
+            "/v1/resolve", {"clarification_id": clar_id, "choice": 0}
         )
         assert code == 200
         assert resolved["status"] == "answered"
@@ -270,37 +276,37 @@ class TestFailure:
 
     def test_writer_death_aborts_open_transaction(self, cluster):
         cluster.wait_healthy()
-        n = cluster.post("/sql", {"sql": "SELECT COUNT(*) FROM port"})[1]["rows"][0][0]
-        assert cluster.post("/sql", {"sql": "BEGIN"})[0] == 200
+        n = cluster.post("/v1/sql", {"sql": "SELECT COUNT(*) FROM port"})[1]["rows"][0][0]
+        assert cluster.post("/v1/sql", {"sql": "BEGIN"})[0] == 200
         assert cluster.post(
-            "/sql", {"sql": INSERT.format(id=903, name="lost")}
+            "/v1/sql", {"sql": INSERT.format(id=903, name="lost")}
         )[0] == 200
         # Race the COMMIT against recovery (wait=False): if it beats the
         # respawn it must answer 503, never silently land.
         cluster.kill_worker(0, wait=False)
         # COMMIT cannot land: the group never reached the WAL, so the
         # router answers 503 and the transaction evaporates everywhere.
-        code, wire, headers = cluster.post("/sql", {"sql": "COMMIT"})
+        code, wire, headers = cluster.post("/v1/sql", {"sql": "COMMIT"})
         assert code == 503
         assert wire["error"]["code"] == "cluster_degraded"
         assert "Retry-After" in headers
         cluster.wait_healthy()
         for _ in range(6):
             count = cluster.post(
-                "/sql", {"sql": "SELECT COUNT(*) FROM port"}
+                "/v1/sql", {"sql": "SELECT COUNT(*) FROM port"}
             )[1]["rows"][0][0]
             assert count == n
         # And the pool accepts new work afterwards.
         assert cluster.post(
-            "/sql", {"sql": INSERT.format(id=904, name="after")}
+            "/v1/sql", {"sql": INSERT.format(id=904, name="after")}
         )[0] == 200
 
     def test_respawned_worker_caught_up_on_in_memory_dml(self, cluster):
         cluster.wait_healthy()
         assert cluster.post(
-            "/sql", {"sql": INSERT.format(id=905, name="pre-kill")}
+            "/v1/sql", {"sql": INSERT.format(id=905, name="pre-kill")}
         )[0] == 200
-        n = cluster.post("/sql", {"sql": "SELECT COUNT(*) FROM port"})[1]["rows"][0][0]
+        n = cluster.post("/v1/sql", {"sql": "SELECT COUNT(*) FROM port"})[1]["rows"][0][0]
         cluster.kill_worker(2)
         cluster.wait_healthy()
         restarts = {
@@ -311,7 +317,7 @@ class TestFailure:
         # Every worker, including the fresh fork, sees the pre-kill DML.
         for _ in range(6):
             count = cluster.post(
-                "/sql", {"sql": "SELECT COUNT(*) FROM port"}
+                "/v1/sql", {"sql": "SELECT COUNT(*) FROM port"}
             )[1]["rows"][0][0]
             assert count == n
 
@@ -327,7 +333,7 @@ class TestDegradedMode:
             deadline = time.monotonic() + 5
             saw_degraded = False
             while time.monotonic() < deadline:
-                code, wire, headers = server.get("/healthz")
+                code, wire, headers = server.get("/v1/healthz")
                 if code == 503:
                     saw_degraded = True
                     assert wire["status"] == "degraded"
@@ -337,19 +343,19 @@ class TestDegradedMode:
             assert saw_degraded
             # Writes pause while the pool is short a worker...
             code, wire, headers = server.post(
-                "/sql", {"sql": INSERT.format(id=906, name="paused")}
+                "/v1/sql", {"sql": INSERT.format(id=906, name="paused")}
             )
             assert code == 503
             assert wire["error"]["code"] == "cluster_degraded"
             assert "Retry-After" in headers
             # ...but reads keep flowing on the survivor.
             code, wire, _ = server.post(
-                "/ask", {"question": "how many ships are there"}
+                "/v1/ask", {"question": "how many ships are there"}
             )
             assert code == 200
             server.wait_healthy()
             code, wire, _ = server.post(
-                "/sql", {"sql": INSERT.format(id=906, name="resumed")}
+                "/v1/sql", {"sql": INSERT.format(id=906, name="resumed")}
             )
             assert code == 200
         finally:
@@ -366,23 +372,23 @@ class TestDurableCluster:
             server.wait_healthy()
             for i in range(5):
                 code, _, _ = server.post(
-                    "/sql", {"sql": INSERT.format(id=910 + i, name=f"ack{i}")}
+                    "/v1/sql", {"sql": INSERT.format(id=910 + i, name=f"ack{i}")}
                 )
                 assert code == 200
             n = server.post(
-                "/sql", {"sql": "SELECT COUNT(*) FROM port"}
+                "/v1/sql", {"sql": "SELECT COUNT(*) FROM port"}
             )[1]["rows"][0][0]
             # SIGKILL the writer: its WAL holds every acked statement.
             server.kill_worker(0)
             server.wait_healthy()
             for _ in range(4):
                 count = server.post(
-                    "/sql", {"sql": "SELECT COUNT(*) FROM port"}
+                    "/v1/sql", {"sql": "SELECT COUNT(*) FROM port"}
                 )[1]["rows"][0][0]
                 assert count == n
             # Writes work after the writer respawn (fresh storage attach).
             assert server.post(
-                "/sql", {"sql": INSERT.format(id=920, name="post")}
+                "/v1/sql", {"sql": INSERT.format(id=920, name="post")}
             )[0] == 200
             n += 1
         finally:
@@ -394,7 +400,7 @@ class TestDurableCluster:
         try:
             server.wait_healthy()
             count = server.post(
-                "/sql", {"sql": "SELECT COUNT(*) FROM port"}
+                "/v1/sql", {"sql": "SELECT COUNT(*) FROM port"}
             )[1]["rows"][0][0]
             assert count == n
         finally:
@@ -409,7 +415,7 @@ class TestDurableCluster:
             server.wait_healthy()
             for sid in ("alpha", "beta"):
                 code, _, _ = server.post(
-                    "/ask",
+                    "/v1/ask",
                     {"question": "how many ships are there", "session": sid},
                 )
                 assert code == 200
@@ -426,7 +432,7 @@ class TestDurableCluster:
             assert {"alpha", "beta"} <= set(owners)
             # The sessions answer follow-ups from their restored state.
             code, wire, _ = server.post(
-                "/ask", {"question": "how many fleets are there",
+                "/v1/ask", {"question": "how many fleets are there",
                          "session": "alpha"},
             )
             assert code == 200

@@ -8,7 +8,6 @@ deterministic and referentially intact.
 import pytest
 
 from repro.datasets import ALL_DOMAINS, company, fleet, geography, load_bundle
-from repro.errors import ReproError
 from repro.evaluation.goldsets import dialogue_scripts, load_gold_records, load_goldset
 from repro.sqlengine import Engine
 
@@ -144,11 +143,9 @@ class TestBaselinesOnCorpora:
         assert simple
         wins = 0
         for item in simple:
-            try:
-                produced = baseline.answer(item.question)
-            except ReproError:
-                continue
-            if answers_match(produced, engine.execute(item.gold_sql)):
+            response = baseline.ask(item.question)
+            gold = engine.execute(item.gold_sql)
+            if response.ok and answers_match(response.answer.result, gold):
                 wins += 1
         assert wins >= len(simple) // 2  # handles at least half of plain lists
 
@@ -161,11 +158,9 @@ class TestBaselinesOnCorpora:
         hard = [item for item in corpus if "compare" in item.tags]
         correct = 0
         for item in hard:
-            try:
-                produced = baseline.answer(item.question)
-            except ReproError:
-                continue
-            if answers_match(produced, engine.execute(item.gold_sql)):
+            response = baseline.ask(item.question)
+            gold = engine.execute(item.gold_sql)
+            if response.ok and answers_match(response.answer.result, gold):
                 correct += 1
         assert correct <= len(hard) // 4  # structurally incapable
 
@@ -174,13 +169,15 @@ class TestBaselinesOnCorpora:
 
         bundle = load_bundle("fleet")
         baseline = TemplateBaseline(bundle.database, bundle.model)
-        assert baseline.answer("how many ships are there").scalar() == 60
+        response = baseline.ask("how many ships are there")
+        assert response.answer.result.scalar() == 60
 
     def test_template_baseline_rejects_off_pattern(self):
         from repro.baselines import TemplateBaseline
-        from repro.errors import ParseFailure
+        from repro.service import Status
 
         bundle = load_bundle("fleet")
         baseline = TemplateBaseline(bundle.database, bundle.model)
-        with pytest.raises(ParseFailure):
-            baseline.answer("ships heavier than the enterprise")
+        response = baseline.ask("ships heavier than the enterprise")
+        assert response.status is Status.FAILED
+        assert response.error_type == "ParseFailure"

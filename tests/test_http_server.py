@@ -58,7 +58,7 @@ def server(service):
 
 class TestStatusMapping:
     def test_answered_is_200_and_exact_envelope(self, server, service):
-        code, wire, _ = _call(server.url, "/ask",
+        code, wire, _ = _call(server.url, "/v1/ask",
                               {"question": "how many ships are there"})
         assert code == 200
         assert wire["status"] == "answered"
@@ -73,7 +73,7 @@ class TestStatusMapping:
 
     def test_ambiguous_is_409_with_choices(self, server):
         code, wire, _ = _call(
-            server.url, "/ask",
+            server.url, "/v1/ask",
             {"question": "ships from norfolk", "clarify": True},
         )
         assert code == 409
@@ -83,13 +83,13 @@ class TestStatusMapping:
 
     def test_needs_clarification_is_409(self, server):
         # A fragment with no session context cannot be completed.
-        code, wire, _ = _call(server.url, "/ask",
+        code, wire, _ = _call(server.url, "/v1/ask",
                               {"question": "what about the carriers"})
         assert code == 409
         assert wire["status"] == "needs_clarification"
 
     def test_failed_is_422(self, server):
-        code, wire, _ = _call(server.url, "/ask",
+        code, wire, _ = _call(server.url, "/v1/ask",
                               {"question": "colorless green ideas sleep"})
         assert code == 422
         assert wire["status"] == "failed"
@@ -102,41 +102,41 @@ class TestStatusMapping:
 
 class TestTransportErrors:
     def test_malformed_json_is_400(self, server):
-        code, wire, _ = _call(server.url, "/ask", raw=b"{not json at all")
+        code, wire, _ = _call(server.url, "/v1/ask", raw=b"{not json at all")
         assert code == 400
         assert wire["error"]["code"] == "malformed_json"
 
     def test_non_object_body_is_400(self, server):
-        code, wire, _ = _call(server.url, "/ask", raw=b'["a", "list"]')
+        code, wire, _ = _call(server.url, "/v1/ask", raw=b'["a", "list"]')
         assert code == 400
         assert wire["error"]["code"] == "malformed_json"
 
     def test_missing_question_is_400(self, server):
-        code, wire, _ = _call(server.url, "/ask", {"quesiton": "typo"})
+        code, wire, _ = _call(server.url, "/v1/ask", {"quesiton": "typo"})
         assert code == 400
         assert wire["error"]["code"] == "bad_field"
 
     def test_non_string_question_is_400(self, server):
-        code, wire, _ = _call(server.url, "/ask", {"question": 42})
+        code, wire, _ = _call(server.url, "/v1/ask", {"question": 42})
         assert code == 400
 
     def test_bad_questions_list_is_400(self, server):
-        code, wire, _ = _call(server.url, "/ask_many", {"questions": "one"})
+        code, wire, _ = _call(server.url, "/v1/ask_many", {"questions": "one"})
         assert code == 400
 
     def test_unknown_path_is_404(self, server):
-        code, wire, _ = _call(server.url, "/nope", {"question": "x"})
+        code, wire, _ = _call(server.url, "/v1/nope", {"question": "x"})
         assert code == 404
         assert wire["error"]["code"] == "unknown_endpoint"
 
     def test_wrong_method_is_405_with_allow(self, server):
-        code, wire, headers = _call(server.url, "/ask")  # GET
+        code, wire, headers = _call(server.url, "/v1/ask")  # GET
         assert code == 405
         assert headers["Allow"] == "POST"
 
     def test_unknown_clarification_is_404(self, server):
         code, wire, _ = _call(
-            server.url, "/resolve",
+            server.url, "/v1/resolve",
             {"clarification_id": "clar-999999", "choice": 0},
         )
         assert code == 404
@@ -144,26 +144,26 @@ class TestTransportErrors:
 
     def test_bad_choice_type_is_400(self, server):
         code, wire, _ = _call(
-            server.url, "/resolve",
+            server.url, "/v1/resolve",
             {"clarification_id": "clar-1", "choice": "first"},
         )
         assert code == 400
 
     def test_out_of_range_choice_on_live_clarification_is_400(self, server):
         code, ambiguous, _ = _call(
-            server.url, "/ask",
+            server.url, "/v1/ask",
             {"question": "ships from norfolk", "clarify": True},
         )
         assert code == 409
         code, wire, _ = _call(
-            server.url, "/resolve",
+            server.url, "/v1/resolve",
             {"clarification_id": ambiguous["clarification_id"], "choice": 99},
         )
         assert code == 400
         assert wire["error"]["code"] == "bad_choice"
         # Still parked: picking a valid index afterwards works.
         code, resolved, _ = _call(
-            server.url, "/resolve",
+            server.url, "/v1/resolve",
             {"clarification_id": ambiguous["clarification_id"], "choice": 0},
         )
         assert code == 200
@@ -212,7 +212,7 @@ class TestTransportErrors:
 class TestProtocolFlows:
     def test_clarification_resolves_over_http(self, server):
         code, ambiguous, _ = _call(
-            server.url, "/ask",
+            server.url, "/v1/ask",
             {"question": "ships from norfolk", "clarify": True,
              "session": "flows"},
         )
@@ -220,7 +220,7 @@ class TestProtocolFlows:
         assert ambiguous["session"] == "flows"
         picked = ambiguous["choices"][1]
         code, resolved, _ = _call(
-            server.url, "/resolve",
+            server.url, "/v1/resolve",
             {"clarification_id": ambiguous["clarification_id"],
              "choice": picked["index"]},
         )
@@ -228,7 +228,7 @@ class TestProtocolFlows:
         assert resolved["answer"]["sql"] == picked["sql"]
         # Consumed: a second resolve is a 404.
         code, _, _ = _call(
-            server.url, "/resolve",
+            server.url, "/v1/resolve",
             {"clarification_id": ambiguous["clarification_id"],
              "choice": picked["index"]},
         )
@@ -236,12 +236,12 @@ class TestProtocolFlows:
 
     def test_session_follow_up_binds_to_context(self, server):
         code, first, _ = _call(
-            server.url, "/ask",
+            server.url, "/v1/ask",
             {"question": "ships in the pacific fleet", "session": "ctx"},
         )
         assert code == 200
         code, followup, _ = _call(
-            server.url, "/ask",
+            server.url, "/v1/ask",
             {"question": "how many of them are there", "session": "ctx"},
         )
         assert code == 200
@@ -249,7 +249,7 @@ class TestProtocolFlows:
 
     def test_ask_many_batches(self, server):
         code, wire, _ = _call(
-            server.url, "/ask_many",
+            server.url, "/v1/ask_many",
             {"questions": ["how many ships are there", "show the carriers"]},
         )
         assert code == 200
@@ -258,29 +258,29 @@ class TestProtocolFlows:
 
     def test_sql_endpoint(self, server):
         code, wire, _ = _call(
-            server.url, "/sql", {"sql": "SELECT count(*) FROM ship"}
+            server.url, "/v1/sql", {"sql": "SELECT count(*) FROM ship"}
         )
         assert code == 200
         assert wire["rows"] == [[60]]
 
     def test_sql_error_is_422(self, server):
-        code, wire, _ = _call(server.url, "/sql", {"sql": "SELEKT nope"})
+        code, wire, _ = _call(server.url, "/v1/sql", {"sql": "SELEKT nope"})
         assert code == 422
         assert wire["error"]["code"] == "engine_error"
 
     def test_healthz_and_stats(self, server):
-        code, health, _ = _call(server.url, "/healthz")
+        code, health, _ = _call(server.url, "/v1/healthz")
         assert (code, health) == (200, {"status": "ok"})
-        code, stats, _ = _call(server.url, "/stats")
+        code, stats, _ = _call(server.url, "/v1/stats")
         assert code == 200
         assert stats["http"]["requests"] > 0
         assert "asks" in stats["service"]
 
     def test_response_cache_serves_repeat_asks(self, server):
         question = "ships commissioned in 1970"
-        _call(server.url, "/ask", {"question": question})
+        _call(server.url, "/v1/ask", {"question": question})
         before = server.server.stats["cache_hits"]
-        code, wire, _ = _call(server.url, "/ask", {"question": question})
+        code, wire, _ = _call(server.url, "/v1/ask", {"question": question})
         assert code == 200
         assert server.server.stats["cache_hits"] == before + 1
         # Cached bytes decode to the same envelope as a fresh ask.
@@ -288,13 +288,62 @@ class TestProtocolFlows:
 
     def test_dml_invalidates_response_cache(self, server):
         question = "how many ports are there"
-        _, first, _ = _call(server.url, "/ask", {"question": question})
+        _, first, _ = _call(server.url, "/v1/ask", {"question": question})
         baseline = first["answer"]["rows"][0][0]
-        _call(server.url, "/sql", {
+        _call(server.url, "/v1/sql", {
             "sql": "INSERT INTO port VALUES (901, 'Cacheville', 'usa')"
         })
-        _, after, _ = _call(server.url, "/ask", {"question": question})
+        _, after, _ = _call(server.url, "/v1/ask", {"question": question})
         assert after["answer"]["rows"][0][0] == baseline + 1
+
+
+class TestOneMount:
+    """The API lives under /v1 and nowhere else."""
+
+    @pytest.mark.parametrize("method, path", [
+        ("POST", "/ask"),
+        ("POST", "/ask_many"),
+        ("POST", "/resolve"),
+        ("POST", "/sql"),
+        ("GET", "/stats"),
+        ("GET", "/healthz"),
+        ("POST", "/d/fleet/ask"),
+        ("GET", "/subscribe"),
+        ("POST", "/subscribe"),
+    ])
+    def test_bare_path_is_404_naming_v1(self, server, method, path):
+        payload = None
+        if method == "POST":
+            payload = {"question": "how many ships are there"}
+        code, wire, _ = _call(server.url, path, payload)
+        assert code == 404
+        assert wire["error"]["code"] == "unknown_endpoint"
+        assert f"{method} /v1{path}" in wire["error"]["message"]
+
+    def test_no_v1_response_carries_deprecation(self, server):
+        for path, payload in [
+            ("/v1/ask", {"question": "how many ships are there"}),
+            ("/v1/ask_many", {"questions": ["how many ships are there"]}),
+            ("/v1/sql", {"sql": "SELECT count(*) FROM ship"}),
+            ("/v1/stats", None),
+            ("/v1/healthz", None),
+        ]:
+            code, _, headers = _call(server.url, path, payload)
+            assert code == 200
+            assert "Deprecation" not in headers
+
+    def test_bad_domain_path_names_v1(self, server):
+        code, wire, _ = _call(server.url, "/v1/d/fleet", {"question": "x"})
+        assert code == 404
+        assert wire["error"]["code"] == "bad_path"
+        assert "/v1/d/<domain>/ask" in wire["error"]["message"]
+
+    def test_serve_has_no_state_flag(self):
+        from repro.cli import build_serve_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_serve_parser().parse_args(["fleet", "--state", "x"])
+        assert excinfo.value.code == 2
 
 
 class TestRateLimiting:
@@ -309,10 +358,10 @@ class TestRateLimiting:
             body = {"question": "how many ships are there", "session": "limited"}
             # First request creates the session (charged to the client
             # address); the next two burn the session's burst of 2.
-            assert _call(handle.url, "/ask", body)[0] == 200
-            assert _call(handle.url, "/ask", body)[0] == 200
-            assert _call(handle.url, "/ask", body)[0] == 200
-            code, wire, headers = _call(handle.url, "/ask", body)
+            assert _call(handle.url, "/v1/ask", body)[0] == 200
+            assert _call(handle.url, "/v1/ask", body)[0] == 200
+            assert _call(handle.url, "/v1/ask", body)[0] == 200
+            code, wire, headers = _call(handle.url, "/v1/ask", body)
             assert code == 429
             assert wire["diagnostics"][0]["code"] == "rate_limited"
             assert wire["retry_after_s"] > 0
@@ -320,7 +369,7 @@ class TestRateLimiting:
             # An established session has its own budget.
             service.ensure_session("calm")
             other = {"question": "how many ships are there", "session": "calm"}
-            assert _call(handle.url, "/ask", other)[0] == 200
+            assert _call(handle.url, "/v1/ask", other)[0] == 200
         finally:
             handle.stop()
             service.close()
@@ -336,7 +385,7 @@ class TestRateLimiting:
             # Minting a new session per request must not mint a new budget:
             # creation is charged to the client address.
             codes = [
-                _call(handle.url, "/ask",
+                _call(handle.url, "/v1/ask",
                       {"question": "how many ships are there",
                        "session": f"fresh-{i}"})[0]
                 for i in range(3)
@@ -356,8 +405,8 @@ class TestRateLimiting:
         try:
             service.ensure_session("b")  # established: keyed by session id
             body = {"questions": ["how many ships are there"], "session": "b"}
-            assert _call(handle.url, "/ask_many", body)[0] == 200
-            code, wire, headers = _call(handle.url, "/ask_many", body)
+            assert _call(handle.url, "/v1/ask_many", body)[0] == 200
+            code, wire, headers = _call(handle.url, "/v1/ask_many", body)
             assert code == 429
             assert int(headers["Retry-After"]) >= 1
             assert wire["responses"][0]["diagnostics"][0]["code"] == "rate_limited"
@@ -375,8 +424,8 @@ class TestRateLimiting:
         try:
             body = {"question": "how many ships are there"}
             for _ in range(3):  # one miss + two cache hits, all same client
-                _call(handle.url, "/ask", body)
-            code, _, _ = _call(handle.url, "/ask", body)
+                _call(handle.url, "/v1/ask", body)
+            code, _, _ = _call(handle.url, "/v1/ask", body)
             assert code == 429
         finally:
             handle.stop()
@@ -397,7 +446,7 @@ class TestDurability:
         first = self._service(log_path)
         handle = serve_in_thread(first)
         code, ambiguous, _ = _call(
-            handle.url, "/ask",
+            handle.url, "/v1/ask",
             {"question": "ships from norfolk", "clarify": True,
              "session": "durable"},
         )
@@ -410,7 +459,7 @@ class TestDurability:
         try:
             picked = ambiguous["choices"][0]
             code, resolved, _ = _call(
-                handle.url, "/resolve",
+                handle.url, "/v1/resolve",
                 {"clarification_id": ambiguous["clarification_id"],
                  "choice": picked["index"]},
             )
@@ -419,7 +468,7 @@ class TestDurability:
             # The session context survived too: follow-ups bind to the
             # clarified reading.
             code, followup, _ = _call(
-                handle.url, "/ask",
+                handle.url, "/v1/ask",
                 {"question": "how many of them are there",
                  "session": "durable"},
             )
@@ -443,7 +492,7 @@ class TestConcurrentAskers:
             try:
                 for i in range(6):
                     question = questions[(worker + i) % len(questions)]
-                    code, wire, _ = _call(server.url, "/ask",
+                    code, wire, _ = _call(server.url, "/v1/ask",
                                           {"question": question})
                     assert code == 200, wire
             except Exception as exc:  # pragma: no cover - failure detail
@@ -485,7 +534,7 @@ class TestMultiDomainLocal:
 
     def test_path_routing_hits_the_named_domain(self, multi):
         code, wire, _ = _call(
-            multi.url, "/d/geography/ask",
+            multi.url, "/v1/d/geography/ask",
             {"question": "which rivers are in the usa"},
         )
         assert code == 200
@@ -493,7 +542,7 @@ class TestMultiDomainLocal:
 
     def test_body_domain_field_routes_too(self, multi):
         code, wire, _ = _call(
-            multi.url, "/ask",
+            multi.url, "/v1/ask",
             {"question": "which rivers are in the usa",
              "domain": "geography"},
         )
@@ -501,34 +550,34 @@ class TestMultiDomainLocal:
 
     def test_bare_path_uses_default_domain(self, multi):
         code, wire, _ = _call(
-            multi.url, "/ask", {"question": "how many ships are there"}
+            multi.url, "/v1/ask", {"question": "how many ships are there"}
         )
         assert code == 200
         assert wire["answer"]["rows"] == [[60]]
 
     def test_conflicting_path_and_body_domain_400(self, multi):
         code, wire, _ = _call(
-            multi.url, "/d/fleet/ask",
+            multi.url, "/v1/d/fleet/ask",
             {"question": "hello", "domain": "geography"},
         )
         assert code == 400
         assert wire["error"]["code"] == "bad_field"
 
     def test_unknown_domain_404_both_spellings(self, multi):
-        code, wire, _ = _call(multi.url, "/d/narnia/ask", {"question": "q"})
+        code, wire, _ = _call(multi.url, "/v1/d/narnia/ask", {"question": "q"})
         assert code == 404
         assert wire["error"]["code"] == "unknown_domain"
         code, wire, _ = _call(
-            multi.url, "/ask", {"question": "q", "domain": "narnia"}
+            multi.url, "/v1/ask", {"question": "q", "domain": "narnia"}
         )
         assert code == 404
         assert wire["error"]["code"] == "unknown_domain"
 
     def test_per_domain_stats_and_overall(self, multi):
-        code, wire, _ = _call(multi.url, "/d/geography/stats")
+        code, wire, _ = _call(multi.url, "/v1/d/geography/stats")
         assert code == 200
         assert "service" in wire and "http" in wire
-        code, overall, _ = _call(multi.url, "/stats")
+        code, overall, _ = _call(multi.url, "/v1/stats")
         assert set(overall["domains"]) == {"fleet", "geography"}
 
     def test_domain_bucket_limits_one_domain_not_the_other(self, multi):
@@ -536,7 +585,7 @@ class TestMultiDomainLocal:
         codes = []
         for _ in range(5):
             code, wire, headers = _call(
-                multi.url, "/d/geography/ask",
+                multi.url, "/v1/d/geography/ask",
                 {"question": "which rivers are in the usa"},
             )
             codes.append(code)
@@ -546,7 +595,7 @@ class TestMultiDomainLocal:
         assert 429 in codes
         # ...fleet's bucket is untouched: its requests still land.
         code, wire, _ = _call(
-            multi.url, "/ask", {"question": "how many ships are there"}
+            multi.url, "/v1/ask", {"question": "how many ships are there"}
         )
         assert code == 200
 
@@ -569,12 +618,12 @@ class TestDomainRefund:
                                  domain_burst=8)
         try:
             question = {"question": "how many ships are there"}
-            code, _, _ = _call(handle.url, "/ask", question)
+            code, _, _ = _call(handle.url, "/v1/ask", question)
             assert code == 200
             # Five more: every one 429s at the per-client layer.  Without
             # the refund these would also drain 5 domain tokens.
             for _ in range(5):
-                code, _, _ = _call(handle.url, "/ask", question)
+                code, _, _ = _call(handle.url, "/v1/ask", question)
                 assert code == 429
             limiter = handle.server._domain_limiter
             bucket = limiter._buckets["fleet"]

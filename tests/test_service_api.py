@@ -107,7 +107,7 @@ class TestResponseEnvelope:
         # so evalkit stage accounting credits the interpret stage (the old
         # exception-based harness's behavior).
         from repro.errors import InterpretationError
-        from repro.evalkit.harness import failure_stage
+        from repro.evalkit.metrics import failure_stage
 
         nli = NaturalLanguageInterface(fleet_db, domain=fleet.domain())
 

@@ -230,6 +230,7 @@ class TestHttpStreaming:
         body = json.loads(response.read())
         assert response.status == 404
         assert body["error"]["code"] == "unknown_endpoint"
+        assert "GET /v1/subscribe" in body["error"]["message"]
         connection.close()
 
     def test_missing_question_is_rejected(self, server):
