@@ -38,6 +38,9 @@ class NliConfig:
     #: string, its normalize result and its parse, the parse carrying the
     #: answer's back half (interpretations, generated SQL, paraphrase,
     #: alternatives) once answered, so the default holds 128 questions.
+    #: A write drops only the entries whose words (or stems) meet a value
+    #: that entered or left the database, plus the fuzzy-corrected ones
+    #: when a word weight moved; a lexicon or full rebuild drops all.
     #: Sized for an interactive session's working set; raise it for batch
     #: evaluation over large question corpora.
     prepared_cache_size: int = 256

@@ -55,6 +55,7 @@ from repro.grammar.sketch import Sketch
 from repro.lexicon.builder import build_lexicon, data_dependent_columns
 from repro.lexicon.domain import DomainModel
 from repro.logical.forms import EntityRef
+from repro.nlp.stemmer import stem
 from repro.nlp.stopwords import PROTECTED_WORDS
 from repro.nlp.tokenizer import Token, tokenize
 from repro.schemagraph.graph import SchemaGraph
@@ -63,7 +64,7 @@ from repro.sqlengine.database import Database
 from repro.sqlengine.executor import Engine
 from repro.sqlengine.plancache import LruCache
 from repro.sqlengine.table import TableDelta
-from repro.valueindex.index import ValueIndex
+from repro.valueindex.index import IndexChange, ValueIndex
 
 
 #: Bound on parked clarifications (the pipeline registry is an LRU of this
@@ -80,9 +81,10 @@ class LanguageLayers:
     assignment) on every refresh; each question pins the bundle it started
     with, so a concurrent refresh can never hand one ask a lexicon from
     one generation and a value index from another.  ``epoch`` is a
-    monotone stamp participating in prepared-cache keys: an entry stored
-    by a reader on an old generation can never be served to a question
-    running on a newer one.
+    monotone stamp.  A prepared-cache entry records the epoch it was
+    computed against (its ``born``) and is served only to readers at that
+    epoch or later; a refresh evicts the entries its delta can reach, so
+    an entry still cached was valid at every epoch since its birth.
     """
 
     epoch: int
@@ -91,6 +93,46 @@ class LanguageLayers:
     value_index: ValueIndex | None
     interpreter: Interpreter
     sqlgen: SqlGenerator
+
+
+@dataclass(frozen=True, slots=True)
+class _Stamp:
+    """What a prepared entry read from the language layers.
+
+    ``words`` holds every raw and corrected token of the question and the
+    stem of each: the tagger reaches the value index only through exact
+    and stemmed phrase lookups that start at a question word, and the
+    known-word test reads only vocabulary membership.  ``fuzzy`` is set
+    when some token went to ``fuzzy_word``, whose answer hangs on every
+    vocabulary weight.  ``born`` is the layers epoch the entry was
+    computed against.
+    """
+
+    words: frozenset[str]
+    fuzzy: bool
+    born: int
+
+    def tags(self) -> frozenset:
+        """The cache tags a delta evicts this entry by (:func:`_reaches`)."""
+        return self.words | {_FUZZY} if self.fuzzy else self.words
+
+
+#: Cache tag of entries that consulted ``fuzzy_word``; never a word.
+_FUZZY = ("fuzzy_word",)
+
+
+def _reaches(change: IndexChange) -> frozenset:
+    """The tags of every entry ``change`` may answer differently for."""
+    return change.words | {_FUZZY} if change.weights_moved else change.words
+
+
+@dataclass(frozen=True, slots=True)
+class _Normalized:
+    """One prepared-cache normalize entry: tokens and corrections."""
+
+    tokens: tuple[Token, ...]
+    corrections: tuple[tuple[str, str], ...]
+    stamp: _Stamp
 
 
 @dataclass(frozen=True)
@@ -113,9 +155,11 @@ class _BackHalf:
 @dataclass(frozen=True)
 class _Prepared:
     """One prepared-cache parse entry: the sketches, plus the back half
-    once an ask has been answered from them (``None`` until then)."""
+    once an ask has been answered from them (``None`` until then).  It
+    carries the stamp of the normalize entry it was parsed from."""
 
     sketches: tuple[Sketch, ...]
+    stamp: _Stamp
     back: _BackHalf | None = None
 
 
@@ -179,11 +223,10 @@ class NaturalLanguageInterface:
         self._protected = frozenset(PROTECTED_WORDS | self._literal_words | PRONOUNS)
         #: Prepared-pipeline cache: question string -> normalize and parse
         #: results, the parse entry carrying the answer's back half once
-        #: answered (see :class:`_Prepared`).  Cleared whenever the
-        #: language layers change (a full rebuild or an applied delta),
-        #: because cached parses may embed value references resolved
-        #: against the old index.  The optional TTL ages out one-off
-        #: questions in long-running services.
+        #: answered (see :class:`_Prepared`).  A delta refresh evicts only
+        #: the entries whose :class:`_Stamp` meets what the delta changed
+        #: in the value index; a lexicon or full rebuild clears it.  The
+        #: optional TTL ages out one-off questions in long-running services.
         self._prepared: LruCache = LruCache(
             capacity=self.config.prepared_cache_size,
             ttl_s=self.config.prepared_cache_ttl_s,
@@ -208,6 +251,7 @@ class NaturalLanguageInterface:
             "deltas_applied": 0,
             "asks": 0,
             "clarifications_resolved": 0,
+            "prepared_invalidated": 0,
         }
         self._stats_lock = threading.Lock()
         #: Clarification registry: id -> _PendingClarification, single-use
@@ -236,19 +280,21 @@ class NaturalLanguageInterface:
             else None
         )
         previous: LanguageLayers | None = getattr(self, "_layers", None)
-        self._layers = LanguageLayers(
-            epoch=previous.epoch + 1 if previous is not None else 0,
-            graph=graph,
-            lexicon=lexicon,
-            value_index=value_index,
-            interpreter=Interpreter(
-                self.database, graph, self.domain, self.config.join_inference
+        self._publish(
+            LanguageLayers(
+                epoch=previous.epoch + 1 if previous is not None else 0,
+                graph=graph,
+                lexicon=lexicon,
+                value_index=value_index,
+                interpreter=Interpreter(
+                    self.database, graph, self.domain, self.config.join_inference
+                ),
+                sqlgen=SqlGenerator(
+                    self.database, graph, self.domain, self.config.join_inference
+                ),
             ),
-            sqlgen=SqlGenerator(
-                self.database, graph, self.domain, self.config.join_inference
-            ),
+            None,
         )
-        self._prepared.clear()
         # Parked clarifications hold interpretations resolved against the
         # old schema/layers; after a full rebuild (catalog DDL) replaying
         # them could reference dropped tables.  Row-level deltas are fine:
@@ -258,6 +304,41 @@ class NaturalLanguageInterface:
         self._catalog_version = self.database.catalog_version
         with self._stats_lock:
             self._stats["full_rebuilds"] += 1
+
+    def _publish(self, layers: LanguageLayers, change: IndexChange | None) -> None:
+        """Publish ``layers`` and evict what it invalidates, as one step.
+
+        ``change`` is what a delta refresh changed in the value index;
+        ``None`` (a lexicon or full rebuild) clears the prepared cache.
+        Both happen under the cache lock that :meth:`_store` holds while
+        it checks that its reader's layers are still the published ones,
+        so an entry computed on an older generation can never land after
+        the eviction that should have dropped it.
+        """
+        with self._prepared.lock:
+            self._layers = layers
+            if change is None:
+                dropped = self._prepared.clear()
+            else:
+                dropped = self._prepared.evict_tagged(_reaches(change))
+        with self._stats_lock:
+            self._stats["prepared_invalidated"] += dropped
+
+    def _store(self, key: tuple, entry: Any, layers: LanguageLayers) -> None:
+        """Cache ``entry`` only while ``layers`` is still published."""
+        self._prepared.put_if(
+            key, entry, lambda: self._layers is layers, entry.stamp.tags()
+        )
+
+    def _lookup(self, key: tuple, layers: LanguageLayers) -> Any:
+        """The cached entry for ``key`` if it was valid at ``layers``.
+
+        An entry born after ``layers`` may answer differently at this
+        older generation; that lookup counts as a miss.
+        """
+        return self._prepared.get(
+            key, accept=lambda entry: entry.stamp.born <= layers.epoch
+        )
 
     # -- the published language-layer bundle ---------------------------------
 
@@ -335,13 +416,14 @@ class NaturalLanguageInterface:
                 for column, _ in delta.added + delta.removed
             )
         value_index = layers.value_index
+        change = IndexChange()
         if value_index is not None:
             # Patch an O(1) clone so concurrent readers pinned to the old
             # bundle never see a half-applied delta; the patches share all
             # untouched structure with it.
             value_index = value_index.clone()
             for delta in deltas:
-                value_index.apply_delta(delta)
+                change |= value_index.apply_delta(delta)
         lexicon = layers.lexicon
         if rebuild_lexicon:
             lexicon = build_lexicon(
@@ -349,14 +431,16 @@ class NaturalLanguageInterface:
                 self.domain,
                 synonym_fraction=self.config.synonym_fraction,
             )
-        self._layers = replace(
-            layers,
-            epoch=layers.epoch + 1,
-            lexicon=lexicon,
-            value_index=value_index,
+        # A new lexicon may tag or correct any word differently: clear.
+        self._publish(
+            replace(
+                layers,
+                epoch=layers.epoch + 1,
+                lexicon=lexicon,
+                value_index=value_index,
+            ),
+            None if rebuild_lexicon else change,
         )
-        # Cached parses may hold ValueRefs into the old index state.
-        self._prepared.clear()
         with self._stats_lock:
             self._stats["delta_refreshes"] += 1
             self._stats["deltas_applied"] += len(deltas)
@@ -378,7 +462,12 @@ class NaturalLanguageInterface:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Refresh/ask accounting plus prepared-cache hit/miss/TTL counters."""
+        """Refresh/ask accounting plus prepared-cache hit/miss/TTL counters.
+
+        ``prepared_invalidated`` counts the entries refreshes dropped (a
+        clear counts every entry it drops); a lookup turned down because
+        its entry is newer than the reader's layers is a miss.
+        """
         with self._stats_lock:
             out = dict(self._stats)
         prepared = self._prepared.stats
@@ -411,19 +500,20 @@ class NaturalLanguageInterface:
     ) -> tuple[list[Token], list[tuple[str, str]]]:
         """Tokenize + spelling-correct; returns tokens and corrections."""
         self._ensure_fresh()
-        layers = layers or self._layers
-        # Config knobs are live-mutable, so they participate in the key;
-        # the layers epoch stamps the entry so a reader still running on
-        # an old generation cannot publish results a newer one would reuse.
-        norm_key = (
-            "normalize", question, self.config.spelling_correction, layers.epoch
-        )
-        cached = self._prepared.get(norm_key)
+        normalized = self._normalize(question, layers or self._layers)
+        return list(normalized.tokens), list(normalized.corrections)
+
+    def _normalize(self, question: str, layers: LanguageLayers) -> _Normalized:
+        """:meth:`normalize` through the prepared cache, with its stamp."""
+        # Config knobs are live-mutable, so they participate in the key.
+        norm_key = ("normalize", question, self.config.spelling_correction)
+        cached = self._lookup(norm_key, layers)
         if cached is not None:
-            tokens, corrections = cached
-            return list(tokens), list(corrections)
-        tokens = list(tokenize(question).tokens)
+            return cached
+        raw = tokenize(question).tokens
+        tokens = list(raw)
         corrections: list[tuple[str, str]] = []
+        fuzzy = False
         if self.config.spelling_correction:
             for i, token in enumerate(tokens):
                 word = token.text
@@ -431,12 +521,20 @@ class NaturalLanguageInterface:
                     continue
                 corrected = layers.lexicon.correct_word(word)
                 if corrected is None and layers.value_index is not None:
+                    fuzzy = True
                     corrected = layers.value_index.fuzzy_word(word)
                 if corrected is not None and corrected != word:
                     corrections.append((word, corrected))
                     tokens[i] = replace(token, text=corrected, corrected_from=word)
-        self._prepared.put(norm_key, (tuple(tokens), tuple(corrections)))
-        return tokens, corrections
+        words = {t.text for t in raw} | {t.text for t in tokens}
+        words.update([stem(word) for word in words])
+        normalized = _Normalized(
+            tuple(tokens),
+            tuple(corrections),
+            _Stamp(frozenset(words), fuzzy, layers.epoch),
+        )
+        self._store(norm_key, normalized, layers)
+        return normalized
 
     def tag(
         self, tokens: list[Token], layers: LanguageLayers | None = None
@@ -449,24 +547,26 @@ class NaturalLanguageInterface:
 
     def parse(self, question: str, session: Session | None = None) -> list[Sketch]:
         """Tokenize/correct/tag/parse; returns all sketches."""
+        self._ensure_fresh()
         layers = self._layers
-        tokens, _ = self.normalize(question, layers)
-        prepared, _ = self._prepare(tokens, session, question, layers)
+        normalized = self._normalize(question, layers)
+        prepared, _ = self._prepare(normalized, session, question, layers)
         return list(prepared.sketches)
 
     def _prepare(
         self,
-        tokens: list[Token],
+        normalized: _Normalized,
         session: Session | None,
         cache_key: str,
         layers: LanguageLayers,
     ) -> tuple[_Prepared, tuple | None]:
-        """Tag and parse ``tokens`` through the prepared cache.
+        """Tag and parse the normalized tokens through the prepared cache.
 
         Returns the entry and its cache key.  The key is ``None`` when a
         pronoun resolved against the session: that parse is neither looked
         up nor stored, and no back half may be attached to it.
         """
+        tokens = list(normalized.tokens)
         pronoun_entity = None
         if session is not None and session.last_query is not None:
             if any(t.text in PRONOUNS for t in tokens):
@@ -479,10 +579,9 @@ class NaturalLanguageInterface:
             cache_key,
             self.config.spelling_correction,
             self.config.max_parses,
-            layers.epoch,
         )
         if cacheable:
-            cached = self._prepared.get(parse_key)
+            cached = self._lookup(parse_key, layers)
             if cached is not None:
                 return cached, parse_key
         tagger = self.tag(tokens, layers)
@@ -490,11 +589,12 @@ class NaturalLanguageInterface:
         words = [t.text for t in tokens]
         results = self.parser.parse(words, matcher, max_parses=self.config.max_parses)
         prepared = _Prepared(
-            tuple(r.value for r in results if isinstance(r.value, Sketch))
+            tuple(r.value for r in results if isinstance(r.value, Sketch)),
+            normalized.stamp,
         )
         if not cacheable:
             return prepared, None
-        self._prepared.put(parse_key, prepared)
+        self._store(parse_key, prepared, layers)
         return prepared, parse_key
 
     # -- the main entry point ------------------------------------------------------
@@ -554,10 +654,14 @@ class NaturalLanguageInterface:
         tokens: list[Token] = []
         interpreted = False
         try:
-            tokens, corrections = self.normalize(question, layers)
+            normalized = self._normalize(question, layers)
+            tokens = list(normalized.tokens)
+            corrections = list(normalized.corrections)
             if not tokens:
                 raise ParseFailure("empty question")
-            prepared, parse_key = self._prepare(tokens, session, question, layers)
+            prepared, parse_key = self._prepare(
+                normalized, session, question, layers
+            )
 
             full = [s for s in prepared.sketches if not s.fragment]
             fragments = [s for s in prepared.sketches if s.fragment]
@@ -610,7 +714,7 @@ class NaturalLanguageInterface:
                 back, layers, snapshot, was_fragment=used_fragment,
             )
             if reusable and filled is not back:
-                self._prepared.put(parse_key, _Prepared(prepared.sketches, filled))
+                self._store(parse_key, replace(prepared, back=filled), layers)
             if session is not None:
                 session.remember(
                     question, answer.query, answer.paraphrase, clarify=clarify
@@ -906,7 +1010,9 @@ class NaturalLanguageInterface:
         """Multi-line trace of the pipeline for one question."""
         self._ensure_fresh()
         layers = self._layers
-        tokens, corrections = self.normalize(question, layers)
+        normalized = self._normalize(question, layers)
+        tokens = list(normalized.tokens)
+        corrections = normalized.corrections
         lines = [f"question: {question}"]
         lines.append("tokens:   " + " ".join(t.text for t in tokens))
         if corrections:
@@ -920,7 +1026,7 @@ class NaturalLanguageInterface:
                 f"  tag {match.category:7s} [{match.start}:{match.end}] {payload}"
             )
         try:
-            prepared, _ = self._prepare(tokens, session, question, layers)
+            prepared, _ = self._prepare(normalized, session, question, layers)
         except ParseFailure as exc:
             lines.append(f"parse:    FAILED ({exc})")
             return "\n".join(lines)

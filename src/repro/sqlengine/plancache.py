@@ -44,7 +44,7 @@ def _stamps_current(
 
 
 class LruCache:
-    """Thread-safe LRU mapping with optional per-entry TTL.
+    """Thread-safe LRU mapping with optional per-entry TTL and tags.
 
     Also used by the NLI prepared-question cache and the clarification
     registry, both of which are hit by concurrent ``NliService.ask()``
@@ -54,6 +54,13 @@ class LruCache:
     ``ttl_s`` bounds an entry's age: a ``get``/``__contains__`` that finds
     an entry older than the TTL treats it as a miss and evicts it
     (counted in ``stats["ttl_evictions"]``).  ``None`` disables aging.
+
+    An entry may be stored with ``tags``; :meth:`evict_tagged` drops every
+    entry carrying one of a set of tags.  ``lock`` is public so an owner
+    can make its own state change and a cache update one step to every
+    other caller (the prepared cache publishes a layers generation and
+    evicts under it); it is reentrant, so the cache's own methods may be
+    called holding it.
     """
 
     def __init__(
@@ -69,69 +76,116 @@ class LruCache:
         self.capacity = capacity
         self.ttl_s = ttl_s
         self._clock = clock
-        self._lock = threading.RLock()
+        self.lock = threading.RLock()
         #: key -> (value, stored_at); stored_at is 0.0 when no TTL is set.
         self._data: OrderedDict[Hashable, tuple[Any, float]] = OrderedDict()
+        #: key -> its tags, for tagged entries only.
+        self._tags: dict[Hashable, frozenset] = {}
         self.stats = {"hits": 0, "misses": 0, "ttl_evictions": 0}
 
     def _expired(self, stored_at: float) -> bool:
         return self.ttl_s is not None and self._clock() - stored_at > self.ttl_s
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        with self._lock:
+    def _remove(self, key: Hashable) -> tuple[Any, float]:
+        """Delete ``key``'s entry and its tags; returns the entry."""
+        self._tags.pop(key, None)
+        return self._data.pop(key)
+
+    def get(
+        self,
+        key: Hashable,
+        default: Any = None,
+        accept: Callable[[Any], bool] | None = None,
+    ) -> Any:
+        """The entry for ``key``, or ``default``.
+
+        ``accept`` may turn a present entry down for this caller (it stays
+        cached for others); a refusal counts as a miss.
+        """
+        with self.lock:
             try:
                 value, stored_at = self._data[key]
             except KeyError:
                 self.stats["misses"] += 1
                 return default
             if self._expired(stored_at):
-                del self._data[key]
+                self._remove(key)
                 self.stats["ttl_evictions"] += 1
+                self.stats["misses"] += 1
+                return default
+            if accept is not None and not accept(value):
                 self.stats["misses"] += 1
                 return default
             self._data.move_to_end(key)
             self.stats["hits"] += 1
             return value
 
-    def put(self, key: Hashable, value: Any) -> None:
-        with self._lock:
+    def put(self, key: Hashable, value: Any, tags: frozenset = frozenset()) -> None:
+        with self.lock:
             if key in self._data:
-                self._data.move_to_end(key)
+                self._remove(key)
             stored_at = self._clock() if self.ttl_s is not None else 0.0
             self._data[key] = (value, stored_at)
+            if tags:
+                self._tags[key] = tags
             while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+                self._remove(next(iter(self._data)))
+
+    def put_if(
+        self,
+        key: Hashable,
+        value: Any,
+        condition: Callable[[], bool],
+        tags: frozenset = frozenset(),
+    ) -> bool:
+        """:meth:`put`, only when ``condition()`` holds under the lock."""
+        with self.lock:
+            if not condition():
+                return False
+            self.put(key, value, tags)
+            return True
+
+    def evict_tagged(self, tags: frozenset) -> int:
+        """Drop every entry carrying one of ``tags``; returns how many."""
+        with self.lock:
+            doomed = [k for k, own in self._tags.items() if not own.isdisjoint(tags)]
+            for key in doomed:
+                self._remove(key)
+            return len(doomed)
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Remove and return an entry (honouring TTL), or ``default``."""
-        with self._lock:
-            try:
-                value, stored_at = self._data.pop(key)
-            except KeyError:
+        with self.lock:
+            if key not in self._data:
                 return default
+            value, stored_at = self._remove(key)
             if self._expired(stored_at):
                 self.stats["ttl_evictions"] += 1
                 return default
             return value
 
     def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
+        with self.lock:
             entry = self._data.get(key)
             if entry is None:
                 return False
             if self._expired(entry[1]):
-                del self._data[key]
+                self._remove(key)
                 self.stats["ttl_evictions"] += 1
                 return False
             return True
 
     def __len__(self) -> int:
-        with self._lock:
+        with self.lock:
             return len(self._data)
 
-    def clear(self) -> None:
-        with self._lock:
+    def clear(self) -> int:
+        """Drop every entry; returns how many were dropped."""
+        with self.lock:
+            dropped = len(self._data)
             self._data.clear()
+            self._tags.clear()
+            return dropped
 
 
 class _Entry:

@@ -38,6 +38,27 @@ class ValueHit:
     exact: bool  # False when reached via spelling correction
 
 
+@dataclass(frozen=True)
+class IndexChange:
+    """What a delta changed that a question can observe.
+
+    ``words`` holds every word, and the stem of every word, of each value
+    whose live-occurrence count crossed zero: only those values enter or
+    leave a phrase bucket, and a word joins or leaves the vocabulary only
+    together with one of them.  ``weights_moved`` is set when any
+    vocabulary weight changed, which can move a fuzzy tie-break.  A value
+    that only gains or loses one more occurrence adds no word.
+    """
+
+    words: frozenset[str] = frozenset()
+    weights_moved: bool = False
+
+    def __or__(self, other: IndexChange) -> IndexChange:
+        return IndexChange(
+            self.words | other.words, self.weights_moved or other.weights_moved
+        )
+
+
 def _normalise_phrase(text: str) -> tuple[str, ...]:
     return tuple(word for word in text.lower().replace("-", " ").split() if word)
 
@@ -178,19 +199,34 @@ class ValueIndex:
         if count == 1 and phrase:
             self._unindex_phrase(phrase, table, column, value)
 
-    def apply_delta(self, delta: TableDelta) -> None:
+    def apply_delta(self, delta: TableDelta) -> IndexChange:
         """Consume one table mutation's string-value delta.
 
         O(changed values): adds/removes exactly the phrases the mutation
-        touched.  DDL deltas (index creation) carry no values and are a
-        no-op here.
+        touched, and reports them as an :class:`IndexChange`.  A value
+        that leaves and comes back within one delta is reported too: its
+        bucket may list its hits in a new order.  DDL deltas (index
+        creation) carry no values and change nothing.
         """
-        for column, value in delta.removed:
-            if (delta.table, column) not in self._excluded:
-                self.remove_value(delta.table, column, value)
-        for column, value in delta.added:
-            if (delta.table, column) not in self._excluded:
-                self.add_value(delta.table, column, value)
+        crossed: set[str] = set()
+        moved = False
+        edits = [(self.remove_value, pair) for pair in delta.removed]
+        edits += [(self.add_value, pair) for pair in delta.added]
+        for edit, (column, value) in edits:
+            if (delta.table, column) in self._excluded:
+                continue
+            key = (delta.table, column, value)
+            before = self._occurrences.get(key, 0)
+            edit(delta.table, column, value)
+            after = self._occurrences.get(key, 0)
+            if before == after:
+                continue
+            phrase = _normalise_phrase(value)
+            moved = moved or bool(phrase)
+            if not (before and after):
+                crossed.update(phrase)
+                crossed.update(stem(word) for word in phrase)
+        return IndexChange(frozenset(crossed), moved)
 
     def _index_phrase(
         self, phrase: tuple[str, ...], table: str, column: str, value: str

@@ -275,6 +275,7 @@ class TestProtocolFlows:
         assert code == 200
         assert stats["http"]["requests"] > 0
         assert "asks" in stats["service"]
+        assert stats["service"]["prepared_invalidated"] >= 0
 
     def test_response_cache_serves_repeat_asks(self, server):
         question = "ships commissioned in 1970"

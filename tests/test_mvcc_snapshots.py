@@ -435,23 +435,41 @@ class TestLayerPublishing:
         )
 
     def test_prepared_cache_keys_carry_the_layers_epoch(self):
+        # Keys no longer carry the epoch: each entry records the epoch it
+        # was born at, is served only to readers at that epoch or later,
+        # and is stored only while its reader's layers are published.
         database = fleet.build_database()
         nli = NaturalLanguageInterface(database, domain=fleet.domain())
         question = "how many ships are there"
+        key = ("parse", question, True, nli.config.max_parses)
         assert nli.ask(question).ok
-        epoch = nli.layers.epoch
-        key = ("parse", question, True, nli.config.max_parses, epoch)
-        assert key in nli._prepared
+        old = nli.layers
+        assert nli._prepared.get(key).stamp.born == old.epoch
         nli.engine.execute(
             "INSERT INTO ship VALUES (901, 'Epoch', 3, 1, 1, 1, "
             "8000, 600, 30, 1976, 150)"
         )
         assert nli.ask(question).ok  # absorbs the delta, bumps the epoch
-        assert nli.layers.epoch == epoch + 1
+        assert nli.layers.epoch == old.epoch + 1
+        # No word of the question meets "epoch": the entry survives.
+        assert nli._prepared.get(key).stamp.born == old.epoch
+        nli.engine.execute(
+            "INSERT INTO ship VALUES (902, 'There', 3, 1, 1, 1, "
+            "8000, 600, 30, 1976, 150)"
+        )
+        assert nli.ask(question).ok
+        current = nli.layers
+        entry = nli._prepared.get(key)
+        assert entry.stamp.born == current.epoch == old.epoch + 2
+        # A reader on an older generation is refused the newer entry...
+        assert nli._lookup(key, old) is None
+        assert nli._lookup(key, current) is entry
+        # ...and cannot store one: its layers are no longer published.
+        nli._prepared.pop(key)
+        nli._store(key, entry, old)
         assert key not in nli._prepared
-        assert (
-            "parse", question, True, nli.config.max_parses, epoch + 1
-        ) in nli._prepared
+        nli._store(key, entry, current)
+        assert key in nli._prepared
 
 
 class TestServiceMvccReads:

@@ -273,15 +273,9 @@ class TestDmlFreshness:
     def test_repeated_question_uses_prepared_cache(self):
         nli = self._fresh_nli()
         first = nli.ask("how many ships are there").answer.result.scalar()
-        parse_key = (
-            "parse",
-            "how many ships are there",
-            nli.config.spelling_correction,
-            nli.config.max_parses,
-            nli.layers.epoch,
-        )
-        assert parse_key in nli._prepared
+        hits = nli.stats["prepared_hits"]
         assert nli.ask("how many ships are there").answer.result.scalar() == first
+        assert nli.stats["prepared_hits"] == hits + 2  # normalize + parse
 
     def test_dml_clears_prepared_cache(self):
         nli = self._fresh_nli()

@@ -219,6 +219,9 @@ def test_max_interpretations_change_rebuilds_the_alternatives(nli):
 
 
 def test_name_changing_insert_drops_the_back_half(nli, monkeypatch):
+    # A new name no word of the question reaches keeps the back half; a
+    # name one of its words reaches drops it, and the question is
+    # interpreted again.
     question = "how many ships are there"
     assert nli.ask(question).answer.result.scalar() == 60
     calls = count_interpretations(monkeypatch, nli)
@@ -230,8 +233,15 @@ def test_name_changing_insert_drops_the_back_half(nli, monkeypatch):
     )
     assert nli.ask(question).answer.result.scalar() == 61
     assert nli.stats["delta_refreshes"] == 1
+    assert calls == []
+    nli.engine.execute(
+        "INSERT INTO ship VALUES (902, 'There', 3, 1, 1, 1, "
+        "8000, 600, 30, 1976, 150)"
+    )
+    assert nli.ask(question).answer.result.scalar() == 62
+    assert nli.stats["delta_refreshes"] == 2
     assert len(calls) == 1
-    assert nli.ask(question).answer.result.scalar() == 61
+    assert nli.ask(question).answer.result.scalar() == 62
     assert len(calls) == 1
 
 
@@ -274,3 +284,54 @@ def test_concurrent_repeats_equal_the_cold_answer():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert seen == [[cold] * 200, [cold] * 200]
+
+
+def test_readers_racing_a_writer_leave_warm_answers_equal_cold():
+    # The writer makes and unmakes values the questions' words reach; a
+    # reader that stored an entry computed before a publish would leave a
+    # stale reading behind once the threads stop.
+    questions = ["how many shps are there", "the crew of the sturgeen", NORFOLK]
+    service = NliService(fleet.build_database(), domain=fleet.domain())
+    start = threading.Barrier(4)
+    failures: list[BaseException] = []
+
+    def reader():
+        start.wait()
+        for _ in range(60):
+            for question in questions:
+                service.ask(question)
+
+    def writer():
+        start.wait()
+        for i in range(30):
+            name = ("Shps", "Sturgean")[i % 2]
+            service.execute(
+                f"INSERT INTO ship VALUES ({900 + i}, '{name}', 3, 1, 1, 1, "
+                "8000, 600, 30, 1976, 150)"
+            )
+            if i % 3 == 2:
+                service.execute(f"DELETE FROM ship WHERE name = '{name}'")
+
+    def guarded(target):
+        try:
+            target()
+        except BaseException as exc:  # reported below, after the join
+            failures.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(reader,)) for _ in range(3)]
+    threads.append(threading.Thread(target=guarded, args=(writer,)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    cold = NaturalLanguageInterface(service.database, domain=fleet.domain())
+    for question in questions:
+        assert observe(service.ask(question)) == observe(cold.ask(question))
+    service.close()

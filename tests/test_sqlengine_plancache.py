@@ -35,6 +35,26 @@ class TestLruCache:
         with pytest.raises(ValueError):
             LruCache(capacity=0)
 
+    def test_tags_follow_their_entry(self):
+        cache = LruCache(capacity=2)
+        cache.put("a", 1, frozenset({"x"}))
+        cache.put("a", 2)  # overwritten without tags
+        cache.put("b", 3, frozenset({"x", "y"}))
+        cache.put("c", 4, frozenset({"y"}))  # LRU-evicts a
+        cache.put("a", 5, frozenset({"z"}))  # LRU-evicts b
+        assert cache.evict_tagged(frozenset({"x"})) == 0
+        assert cache.evict_tagged(frozenset({"y", "z"})) == 2
+        assert len(cache) == 0
+
+    def test_refused_gets_are_misses_and_put_if_checks_first(self):
+        cache = LruCache(capacity=2)
+        assert not cache.put_if("a", 1, lambda: False)
+        assert cache.put_if("a", 1, lambda: True)
+        assert cache.get("a", accept=lambda value: value > 1) is None
+        assert cache.get("a") == 1
+        assert (cache.stats["hits"], cache.stats["misses"]) == (1, 1)
+        assert cache.clear() == 1
+
 
 class TestCacheHits:
     def test_repeat_select_hits_result_cache(self, engine):

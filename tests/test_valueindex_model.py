@@ -8,7 +8,8 @@ vocabulary, ``stats()`` and a brute-force nearest-word search for
 / ``clone`` sequences, over an initial build and sometimes under a
 per-column cap, must leave the index equal to the model after every step.
 A clone's own mutations go to a copy of the model, never to the model the
-original is checked against.
+original is checked against.  Every delta's reported change is checked
+against the diff of the phrase map before and after it.
 
 Two example tests pin the one-pass build to successive ``add_value``
 calls: node for node on a bundled domain, and on the capped build, where
@@ -196,6 +197,32 @@ def assert_matches(index: ValueIndex, model: Model) -> None:
         assert index.fuzzy_word(typo) == model.fuzzy_word(typo, weights), typo
 
 
+def assert_change_is_the_phrase_diff(index: ValueIndex, delta: TableDelta) -> None:
+    """Apply ``delta``; its reported change must be exactly the words (and
+    stems) of the phrase keys whose bucket moved, and ``weights_moved``
+    exactly whether any vocabulary weight did.  A value both removed and
+    added by one delta may come back to the same bucket: then the report
+    may only be larger."""
+    phrases = dict(index._phrase_map.items())
+    weights = dict(index._word_vocabulary._vocabulary.items())
+    change = index.apply_delta(delta)
+    after = dict(index._phrase_map.items())
+    moved = {
+        word
+        for key in phrases.keys() | after.keys()
+        if phrases.get(key) != after.get(key)
+        for word in key
+    }
+    diff = moved | {stem(word) for word in moved}
+    weights_moved = weights != dict(index._word_vocabulary._vocabulary.items())
+    if set(delta.added) & set(delta.removed):
+        assert change.words >= diff
+        assert change.weights_moved >= weights_moved
+    else:
+        assert change.words == diff
+        assert change.weights_moved == weights_moved
+
+
 columns = st.sampled_from(COLUMNS)
 # Half the draws come from three values, so repeated occurrences (and
 # removals that leave a value live) are common.
@@ -231,7 +258,7 @@ def _mutate(index: ValueIndex, model: Model, op: tuple) -> None:
             added=tuple((column, value) for value in added),
             removed=tuple((column, value) for value in removed),
         )
-        index.apply_delta(delta)
+        assert_change_is_the_phrase_diff(index, delta)
         model.apply_delta(delta)
         return
     (table, column), value = op[1]
