@@ -11,7 +11,7 @@ types are frozen so the parser can deduplicate semantic values by repr.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.logical.forms import (
@@ -74,18 +74,6 @@ class Tag:
 
 def cond(value: Condition) -> Tag:
     return Tag("cond", value)
-
-
-def super_tag(attr: AttrRef, direction: str, k: int = 1) -> Tag:
-    return Tag("super", Superlative(attr, direction, k))
-
-
-def order_tag(attr: AttrRef, descending: bool = False) -> Tag:
-    return Tag("order", OrderSpec(attr, descending))
-
-
-def group_tag(target: Any) -> Tag:
-    return Tag("group", target)
 
 
 def penalty_tag(amount: float) -> Tag:

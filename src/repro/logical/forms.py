@@ -8,7 +8,7 @@ every stage's output is inspectable and paraphrasable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Union
 
 
@@ -248,9 +248,6 @@ class LogicalQuery:
     limit: int | None = None
 
     # -- ellipsis / dialogue algebra ------------------------------------------
-
-    def with_conditions(self, conditions: tuple[Condition, ...]) -> "LogicalQuery":
-        return replace(self, conditions=conditions)
 
     def add_condition(self, condition: Condition) -> "LogicalQuery":
         return replace(self, conditions=self.conditions + (condition,))

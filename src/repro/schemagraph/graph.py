@@ -54,9 +54,6 @@ class SchemaGraph:
     def neighbors(self, table: str) -> list[JoinEdge]:
         return list(self._adjacency.get(table, []))
 
-    def degree(self, table: str) -> int:
-        return len(self._adjacency.get(table, []))
-
     # -- paths ---------------------------------------------------------------
 
     def shortest_path(self, source: str, target: str) -> list[JoinEdge]:

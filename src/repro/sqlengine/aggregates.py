@@ -39,10 +39,6 @@ def agg_count(values: Iterable[Any], distinct: bool = False) -> int:
     return len(kept)
 
 
-def agg_count_star(row_count: int) -> int:
-    return row_count
-
-
 def agg_sum(values: Iterable[Any], distinct: bool = False) -> Any:
     kept = _numeric(_non_null(values), "sum")
     if distinct:

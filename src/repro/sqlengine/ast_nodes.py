@@ -6,7 +6,7 @@ generated queries can round-trip through the parser (tested property).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 

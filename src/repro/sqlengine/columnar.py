@@ -1,4 +1,5 @@
-"""Batch execution kernels: how every SELECT plan runs.
+"""Batch execution kernels and the expression compiler: how every SELECT
+plan runs.
 
 :func:`install_kernels` gives every plan node a *kernel* that runs its
 operator over batches:
@@ -9,37 +10,45 @@ operator over batches:
 * scan predicates compile to **selectors** — tight list-comprehension
   loops over one column (``[i for i in sel if rows[i][pos] > lit]``) when
   the predicate's shape and the column's declared type guarantee the loop
-  cannot raise; anything else compiles to a per-row closure with exactly
-  the :class:`Evaluator`'s semantics (Kleene AND/OR short-circuit, NULL
-  propagation, error checks in the same order);
+  cannot raise; anything else compiles to a per-row closure;
 * hash joins compile their key and residual expressions to closures and
-  run build/probe loops without Env allocation; an INNER join with no
-  residual probes in one comprehension over the selection; nested-loop
-  joins run left-major, right-minor, NULL-padding LEFT rows.
+  run build/probe loops; an INNER join with no residual probes in one
+  comprehension over the selection; nested-loop joins run left-major,
+  right-minor, NULL-padding LEFT rows.
 
-The executor uses the same compiler above the plan: projection, GROUP BY
-keys and aggregate arguments run as closures over the batch's row tuples,
-and :func:`column_position` picks out the plain columns it can gather
-column by column.
+:func:`compile_expr` is the engine's one implementation of SQL expression
+semantics: three-valued logic (Kleene AND/OR short-circuit, NULL
+propagation) and error checks in a fixed evaluation order.  Every
+expression compiles to a closure over one row tuple:
 
-An expression outside the compiled subset (a subquery, an outer-row
-reference, an unknown function, an ambiguous column) is not a reason to
-leave the node: that one expression is evaluated per row through an
-:class:`Env` over the run's outer environment (:func:`row_fn`,
-:func:`bind_expr`), so correlated references resolve and errors surface
-exactly as the evaluator raises them.  Everything else in the node keeps
-its compiled closure.
+* a subquery compiles to a call of the engine's subquery runner, passing
+  the current row as the innermost enclosing frame;
+* an outer reference — a name the expression's own scope lacks — is
+  looked up once per run in the enclosing rows, innermost first, and
+  compiles to that run's constant;
+* a name, function or ``*`` that cannot be evaluated compiles to a
+  closure raising the error, so it raises only when a row reaches it and
+  an empty input still answers.
+
+An expression that needs neither the engine nor the enclosing rows
+compiles once, when its kernel is installed; any other compiles once per
+kernel run (:func:`bind_expr`).  The executor uses the same compiler
+above the plan: projection, GROUP BY keys, UPDATE SET and INSERT VALUES
+compile over rows, and grouped items, HAVING and ORDER BY over groups
+(:func:`compile_group_expr`); :func:`column_position` picks out the plain
+columns it can gather column by column.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.errors import ExecutionError, UnknownColumnError
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.expressions import Env, Evaluator, Scope, like_to_regex
+from repro.sqlengine.aggregates import AGGREGATE_NAMES, AGGREGATES
+from repro.sqlengine.expressions import Scope, like_to_regex
 from repro.sqlengine.functions import SCALAR_FUNCTIONS
 from repro.sqlengine.planner import (
     FilterNode,
@@ -57,9 +66,13 @@ RowFn = Callable[[tuple], Any]
 #: A compiled scan predicate: narrows a selection over shared storage.
 SelectorFn = Callable[[list, Iterable[int]], list]
 
+#: The rows enclosing a subquery run: a ``(scope, row, outer)`` frame for
+#: the innermost one, chained to the next, or None outside any subquery.
+Outer = tuple | None
+
 #: A node expression prepared at install time; called once per kernel run
-#: as ``bind(engine, outer_env)`` it returns the run's closure.
-Binder = Callable[[Any, Any], Any]
+#: as ``bind(engine, outer)`` it returns the run's closure.
+Binder = Callable[[Any, Outer], Any]
 
 
 class Batch:
@@ -91,80 +104,86 @@ _CMP_OPS: dict[str, Callable[[int], bool]] = {
     ">=": lambda c: c >= 0,
 }
 
+_SUBQUERIES = (ast.InSubquery, ast.ScalarSubquery, ast.Exists)
 
-def compile_expr(expr: ast.Expr, scope: Scope) -> RowFn | None:
-    """Compile ``expr`` to a closure over one row tuple, or None.
 
-    The closure reproduces :class:`Evaluator` exactly — value, NULL
-    semantics, evaluation order and raised errors — without Env
-    allocation or dispatch.  ``None`` means the construct is not covered
-    (subqueries, outer-row references, unknown functions/operators,
-    ambiguous columns): :func:`row_fn` then evaluates the whole
-    expression through an Env, which either handles it or surfaces the
-    identical error.
+class _Context(NamedTuple):
+    """What one compilation knows besides the expression."""
+
+    scope: Scope
+    #: The running engine (its subquery runner), or None at install time.
+    engine: Any
+    outer: Outer
+    #: In a grouped expression, the row position holding the group's rows.
+    group_slot: int | None
+
+
+def compile_expr(
+    expr: ast.Expr, scope: Scope, engine: Any = None, outer: Outer = None
+) -> RowFn:
+    """Compile ``expr`` to a closure over one row tuple of ``scope``.
+
+    ``engine`` runs the subqueries and ``outer`` holds the rows enclosing
+    this run; both may be omitted for an expression that
+    :func:`_run_dependent` clears.
     """
+    return _compile(expr, _Context(scope, engine, outer, None))
+
+
+def compile_group_expr(
+    expr: ast.Expr, scope: Scope, engine: Any, outer: Outer
+) -> RowFn:
+    """Compile a grouped item, HAVING or ORDER BY key over a *group row*:
+    the group's first row (all NULL for an empty group) with the list of
+    the group's rows appended.  Aggregate calls read that list; everything
+    else reads the first row."""
+    return _compile(expr, _Context(scope, engine, outer, len(scope)))
+
+
+def _compile(expr: ast.Expr, cx: _Context) -> RowFn:
     if isinstance(expr, ast.Literal):
         value = expr.value
         return lambda row: value
     if isinstance(expr, ast.ColumnRef):
-        pos = column_position(expr, scope)
-        if pos is None:
-            return None  # ambiguous or outer reference: evaluated via Env
-        return itemgetter(pos)
+        return _compile_column(expr, cx)
     if isinstance(expr, ast.UnaryOp):
-        fn = compile_expr(expr.operand, scope)
-        if fn is None:
-            return None
-        if expr.op.upper() == "NOT":
-
-            def not_fn(row: tuple) -> Any:
-                value = fn(row)
-                return None if value is None else (not value)
-
-            return not_fn
-        if expr.op == "-":
-
-            def neg_fn(row: tuple) -> Any:
-                value = fn(row)
-                if value is None:
-                    return None
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ExecutionError(f"cannot negate {value!r}")
-                return -value
-
-            return neg_fn
-        return None
+        return _compile_unary(expr, cx)
     if isinstance(expr, ast.BinaryOp):
-        return _compile_binary(expr, scope)
+        return _compile_binary(expr, cx)
     if isinstance(expr, ast.FunctionCall):
-        fn = SCALAR_FUNCTIONS.get(expr.name.lower())
-        if fn is None:
-            return None  # unknown function / aggregate: the Env path raises
-        arg_fns = [compile_expr(arg, scope) for arg in expr.args]
-        if any(arg_fn is None for arg_fn in arg_fns):
-            return None
-        return lambda row: fn(*[arg_fn(row) for arg_fn in arg_fns])
+        return _compile_call(expr, cx)
     if isinstance(expr, ast.IsNull):
-        fn = compile_expr(expr.operand, scope)
-        if fn is None:
-            return None
+        fn = _compile(expr.operand, cx)
         if expr.negated:
             return lambda row: fn(row) is not None
         return lambda row: fn(row) is None
     if isinstance(expr, ast.Between):
-        return _compile_between(expr, scope)
+        return _compile_between(expr, cx)
     if isinstance(expr, ast.Like):
-        return _compile_like(expr, scope)
+        return _compile_like(expr, cx)
     if isinstance(expr, ast.InList):
-        return _compile_in_list(expr, scope)
-    return None  # subqueries, Star, anything new: evaluated via Env
+        return _compile_in_list(expr, cx)
+    if isinstance(expr, _SUBQUERIES):
+        return _compile_subquery(expr, cx)
+    if isinstance(expr, ast.Star):
+        return _raiser(ExecutionError, "'*' is only valid in a select list or COUNT(*)")
+    return _raiser(ExecutionError, f"cannot evaluate {type(expr).__name__}")
+
+
+def _raiser(error: type[Exception], message: str) -> RowFn:
+    """A closure raising ``error(message)`` for any row that reaches it."""
+
+    def raise_fn(row: tuple) -> Any:
+        raise error(message)
+
+    return raise_fn
 
 
 def column_position(expr: ast.Expr, scope: Scope) -> int | None:
     """Tuple position of ``expr`` when it is a plain column of ``scope``.
 
     None for any other expression, an outer-row reference, or an
-    ambiguous name (the Env path raises that one per row).  A plain
+    ambiguous name (its closure raises that one per row).  A plain
     column cannot raise, so callers may read it in any order.
     """
     if not isinstance(expr, ast.ColumnRef):
@@ -175,36 +194,102 @@ def column_position(expr: ast.Expr, scope: Scope) -> int | None:
         return None
 
 
-def _env_fn(expr: ast.Expr, scope: Scope, engine: Any, outer_env: Any) -> RowFn:
-    """Closure evaluating the whole of ``expr`` through one Env per row."""
-    evaluate = engine._evaluator.evaluate
-    return lambda row: evaluate(expr, Env(scope, row, outer_env))
+def _compile_column(expr: ast.ColumnRef, cx: _Context) -> RowFn:
+    try:
+        pos = cx.scope.resolve(expr.name, expr.table)
+        if pos is not None:
+            return itemgetter(pos)
+        value = _outer_value(expr, cx.outer)
+    except UnknownColumnError as exc:
+        return _raiser(UnknownColumnError, str(exc))
+    return lambda row: value
 
 
-def row_fn(expr: ast.Expr, scope: Scope, engine: Any, outer_env: Any) -> RowFn:
-    """``expr``'s compiled closure, or else its per-row Env evaluation."""
-    return compile_expr(expr, scope) or _env_fn(expr, scope, engine, outer_env)
+def _outer_value(expr: ast.ColumnRef, outer: Outer) -> Any:
+    """The value an outer reference holds for this run: the first
+    enclosing scope, innermost first, that has the name (or finds it
+    ambiguous, which raises) decides."""
+    while outer is not None:
+        scope, row, outer = outer
+        pos = scope.resolve(expr.name, expr.table)
+        if pos is not None:
+            return row[pos]
+    qualifier = f"{expr.table}." if expr.table else ""
+    raise UnknownColumnError(f"unknown column {qualifier}{expr.name!r}")
+
+
+def _run_dependent(expr: ast.Expr, scope: Scope) -> bool:
+    """True when ``expr``'s closure depends on the run: it holds a
+    subquery (the engine runs it) or a name ``scope`` lacks (an outer
+    reference, or an unknown name whose error the enclosing rows decide).
+    """
+    for node in ast.walk(expr):
+        if isinstance(node, _SUBQUERIES):
+            return True
+        if isinstance(node, ast.ColumnRef):
+            try:
+                if scope.resolve(node.name, node.table) is None:
+                    return True
+            except UnknownColumnError:
+                pass  # ambiguous here: raises whatever the enclosing rows
+    return False
 
 
 def bind_expr(expr: ast.Expr, scope: Scope) -> Binder:
-    """:func:`row_fn` for a kernel: compiled once at install time; an
-    uncompiled expression gets its Env closure per run, because only the
-    run knows the engine's evaluator and the outer row."""
+    """``expr``'s closure for a kernel: compiled once at install time, or
+    once per run when it depends on the run (:func:`_run_dependent`)."""
+    if _run_dependent(expr, scope):
+        return partial(compile_expr, expr, scope)
     fn = compile_expr(expr, scope)
-    if fn is not None:
-        return lambda engine, outer_env: fn
-    return partial(_env_fn, expr, scope)
+    return lambda engine, outer: fn
 
 
-def _compile_binary(expr: ast.BinaryOp, scope: Scope) -> RowFn | None:
-    lf = compile_expr(expr.left, scope)
-    rf = compile_expr(expr.right, scope)
-    if lf is None or rf is None:
-        return None
+def _compile_unary(expr: ast.UnaryOp, cx: _Context) -> RowFn:
+    fn = _compile(expr.operand, cx)
+    if expr.op.upper() == "NOT":
+
+        def not_fn(row: tuple) -> Any:
+            value = fn(row)
+            return None if value is None else (not value)
+
+        return not_fn
+    if expr.op == "-":
+
+        def neg_fn(row: tuple) -> Any:
+            value = fn(row)
+            if value is None:
+                return None
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ExecutionError(f"cannot negate {value!r}")
+            return -value
+
+        return neg_fn
+    message = f"unknown unary operator {expr.op!r}"
+
+    def unknown_fn(row: tuple) -> Any:
+        fn(row)
+        raise ExecutionError(message)
+
+    return unknown_fn
+
+
+def _arith(left: Any, right: Any, fn: Callable[[Any, Any], Any], op: str) -> Any:
+    ok_left = isinstance(left, (int, float)) and not isinstance(left, bool)
+    ok_right = isinstance(right, (int, float)) and not isinstance(right, bool)
+    if not (ok_left and ok_right):
+        raise ExecutionError(
+            f"arithmetic {op!r} needs numbers, got {left!r} and {right!r}"
+        )
+    return fn(left, right)
+
+
+def _compile_binary(expr: ast.BinaryOp, cx: _Context) -> RowFn:
+    lf = _compile(expr.left, cx)
+    rf = _compile(expr.right, cx)
     op = expr.op.upper()
     if op == "AND":
-        # Kleene AND with the evaluator's exact short-circuit: the right
-        # operand is evaluated (and may raise) unless the left is False.
+        # Kleene AND with short-circuit: the right operand is evaluated
+        # (and may raise) unless the left is False.
         def and_fn(row: tuple) -> Any:
             left = lf(row)
             if left is False:
@@ -247,7 +332,7 @@ def _compile_binary(expr: ast.BinaryOp, scope: Scope) -> RowFn | None:
                 return None
             if isinstance(left, str) and isinstance(right, str):
                 return left + right
-            return Evaluator._arith(left, right, lambda a, b: a + b, "+")
+            return _arith(left, right, lambda a, b: a + b, "+")
 
         return add_fn
     if op in ("-", "*"):
@@ -257,7 +342,7 @@ def _compile_binary(expr: ast.BinaryOp, scope: Scope) -> RowFn | None:
             left, right = lf(row), rf(row)
             if left is None or right is None:
                 return None
-            return Evaluator._arith(left, right, arith, op)
+            return _arith(left, right, arith, op)
 
         return sub_mul_fn
     if op in ("/", "%"):
@@ -270,18 +355,107 @@ def _compile_binary(expr: ast.BinaryOp, scope: Scope) -> RowFn | None:
                 return None
             if right == 0:
                 raise ExecutionError(message)
-            return Evaluator._arith(left, right, arith, op)
+            return _arith(left, right, arith, op)
 
         return div_mod_fn
-    return None  # unknown operator: the Env path raises
+    message = f"unknown operator {expr.op!r}"
+
+    def unknown_fn(row: tuple) -> Any:
+        left, right = lf(row), rf(row)
+        if left is None or right is None:
+            return None
+        raise ExecutionError(message)
+
+    return unknown_fn
 
 
-def _compile_between(expr: ast.Between, scope: Scope) -> RowFn | None:
-    vf = compile_expr(expr.operand, scope)
-    lof = compile_expr(expr.low, scope)
-    hif = compile_expr(expr.high, scope)
-    if vf is None or lof is None or hif is None:
-        return None
+def _compile_call(expr: ast.FunctionCall, cx: _Context) -> RowFn:
+    name = expr.name.lower()
+    if cx.group_slot is not None and name in AGGREGATE_NAMES:
+        return _compile_aggregate(expr, cx)
+    fn = SCALAR_FUNCTIONS.get(name)
+    if fn is None:
+        return _raiser(
+            ExecutionError,
+            f"unknown function {expr.name!r} (aggregates are only valid "
+            "in SELECT/HAVING/ORDER BY of a grouped query)",
+        )
+    arg_fns = [_compile(arg, cx) for arg in expr.args]
+    return lambda row: fn(*[arg_fn(row) for arg_fn in arg_fns])
+
+
+def _compile_aggregate(expr: ast.FunctionCall, cx: _Context) -> RowFn:
+    """An aggregate call over the group row's list of rows; its argument
+    compiles over one row."""
+    slot = cx.group_slot
+    if len(expr.args) == 1 and isinstance(expr.args[0], ast.Star):
+        if expr.name.lower() != "count":
+            return _raiser(ExecutionError, f"{expr.name}(*) is not valid")
+        return lambda row: len(row[slot])
+    if len(expr.args) != 1:
+        return _raiser(ExecutionError, f"{expr.name}() takes exactly one argument")
+    arg_fn = _compile(expr.args[0], cx._replace(group_slot=None))
+    aggregate = AGGREGATES[expr.name.lower()]
+    distinct = expr.distinct
+    return lambda row: aggregate(list(map(arg_fn, row[slot])), distinct=distinct)
+
+
+def _compile_subquery(
+    expr: ast.InSubquery | ast.ScalarSubquery | ast.Exists, cx: _Context
+) -> RowFn:
+    """A call of the engine's subquery runner, with the current row as the
+    innermost enclosing frame."""
+    run = cx.engine._run_subquery
+    select, scope, outer = expr.subquery, cx.scope, cx.outer
+    if isinstance(expr, ast.Exists):
+        negated = expr.negated
+
+        def exists_fn(row: tuple) -> Any:
+            found = bool(run(select, (scope, row, outer)))
+            return (not found) if negated else found
+
+        return exists_fn
+    if isinstance(expr, ast.ScalarSubquery):
+
+        def scalar_fn(row: tuple) -> Any:
+            rows = run(select, (scope, row, outer))
+            if not rows:
+                return None
+            if len(rows) > 1:
+                raise ExecutionError("scalar subquery returned more than one row")
+            if len(rows[0]) != 1:
+                raise ExecutionError("scalar subquery must return one column")
+            return rows[0][0]
+
+        return scalar_fn
+    vf = _compile(expr.operand, cx)
+    negated = expr.negated
+
+    def in_fn(row: tuple) -> Any:
+        value = vf(row)
+        if value is None:
+            return None
+        saw_null = False
+        for sub_row in run(select, (scope, row, outer)):
+            if len(sub_row) != 1:
+                raise ExecutionError("IN subquery must return one column")
+            candidate = sub_row[0]
+            if candidate is None:
+                saw_null = True
+                continue
+            if compare_values(value, candidate) == 0:
+                return not negated
+        if saw_null:
+            return None
+        return negated
+
+    return in_fn
+
+
+def _compile_between(expr: ast.Between, cx: _Context) -> RowFn:
+    vf = _compile(expr.operand, cx)
+    lof = _compile(expr.low, cx)
+    hif = _compile(expr.high, cx)
     negated = expr.negated
 
     def between_fn(row: tuple) -> Any:
@@ -304,11 +478,9 @@ def _compile_between(expr: ast.Between, scope: Scope) -> RowFn | None:
     return between_fn
 
 
-def _compile_like(expr: ast.Like, scope: Scope) -> RowFn | None:
-    vf = compile_expr(expr.operand, scope)
-    pf = compile_expr(expr.pattern, scope)
-    if vf is None or pf is None:
-        return None
+def _compile_like(expr: ast.Like, cx: _Context) -> RowFn:
+    vf = _compile(expr.operand, cx)
+    pf = _compile(expr.pattern, cx)
     negated = expr.negated
     if isinstance(expr.pattern, ast.Literal) and isinstance(expr.pattern.value, str):
         regex = like_to_regex(expr.pattern.value)
@@ -336,13 +508,9 @@ def _compile_like(expr: ast.Like, scope: Scope) -> RowFn | None:
     return like_fn
 
 
-def _compile_in_list(expr: ast.InList, scope: Scope) -> RowFn | None:
-    vf = compile_expr(expr.operand, scope)
-    if vf is None:
-        return None
-    item_fns = [compile_expr(item, scope) for item in expr.items]
-    if any(item_fn is None for item_fn in item_fns):
-        return None
+def _compile_in_list(expr: ast.InList, cx: _Context) -> RowFn:
+    vf = _compile(expr.operand, cx)
+    item_fns = [_compile(item, cx) for item in expr.items]
     negated = expr.negated
 
     def in_fn(row: tuple) -> Any:
@@ -421,7 +589,7 @@ def _fused_selector(conjunct: ast.Expr, scope: Scope, schema: Any) -> SelectorFn
 
     Only produced when the declared column type guarantees the comparison
     cannot raise — everything else goes through the generic compiled
-    predicate, which replicates the evaluator's error behaviour.
+    predicate, which keeps the compiler's error behaviour.
     """
     if isinstance(conjunct, ast.IsNull):
         col = _typed_column(conjunct.operand, scope, schema)
@@ -475,7 +643,7 @@ def _fused_selector(conjunct: ast.Expr, scope: Scope, schema: Any) -> SelectorFn
             return None
         pos, sql_type = col
         if sql_type is not SqlType.TEXT:
-            return None  # non-text operands must raise like the evaluator
+            return None  # non-text operands must raise as compiled
         match = like_to_regex(pattern).match
         if conjunct.negated:
             return lambda rows, sel: [
@@ -528,22 +696,14 @@ def _pred_selector(pred: RowFn) -> SelectorFn:
     return lambda rows, sel: [i for i in sel if pred(rows[i]) is True]
 
 
-def _env_selector(
-    conjunct: ast.Expr, scope: Scope, engine: Any, outer_env: Any
-) -> SelectorFn:
-    return _pred_selector(_env_fn(conjunct, scope, engine, outer_env))
-
-
 def bind_selector(conjunct: ast.Expr, scope: Scope, schema: Any) -> Binder:
     """One scan residual conjunct as a selection-vector narrowing: a fused
-    loop when its shape allows, else its compiled or Env predicate."""
+    loop when its shape allows, else its compiled predicate."""
     selector = _fused_selector(conjunct, scope, schema)
-    if selector is None:
-        pred = compile_expr(conjunct, scope)
-        if pred is None:
-            return partial(_env_selector, conjunct, scope)
-        selector = _pred_selector(pred)
-    return lambda engine, outer_env: selector
+    if selector is not None:
+        return lambda engine, outer: selector
+    bind = bind_expr(conjunct, scope)
+    return lambda engine, outer: _pred_selector(bind(engine, outer))
 
 
 # -- kernel installation -------------------------------------------------------
@@ -553,9 +713,9 @@ def install_kernels(plan: PlanNode, database: Any) -> Scope:
     """Attach a kernel to every node, bottom-up; returns the plan's scope.
 
     A kernel is a ``_kernel`` attribute, a callable
-    ``kernel(engine, node, outer_env) -> (Scope, Batch)`` called with the
+    ``kernel(engine, node, outer) -> (Scope, Batch)`` called with the
     node it hangs on.  Kernels capture only compiled expressions, the AST
-    of uncompiled ones, and column positions — never table data, and never
+    of run-dependent ones, and column positions — never table data, and never
     the node itself, which would make every plan a reference cycle — so
     cached plans revalidate against fresh storage on every execution and
     dropped plans are freed by reference counting.
@@ -580,7 +740,7 @@ def _install_scan(plan: ScanNode, database: Any) -> Scope:
         bind_selector(conjunct, scope, schema) for conjunct in plan.residual_filters
     ]
 
-    def kernel(engine: Any, node: ScanNode, outer_env: Any) -> tuple[Scope, Batch]:
+    def kernel(engine: Any, node: ScanNode, outer: Outer) -> tuple[Scope, Batch]:
         table = engine._source().table(node.table_name)
         rows, sel = table.batch_storage()
         candidate_ids = engine._scan_candidate_ids(node, table)
@@ -593,7 +753,7 @@ def _install_scan(plan: ScanNode, database: Any) -> Scope:
         for bind in selectors:
             if not sel:
                 break
-            sel = bind(engine, outer_env)(rows, sel)
+            sel = bind(engine, outer)(rows, sel)
         return scope, Batch(rows, sel)
 
     plan._kernel = kernel
@@ -604,9 +764,9 @@ def _install_filter(plan: FilterNode, database: Any) -> Scope:
     scope = install_kernels(plan.child, database)
     bind_pred = bind_expr(plan.predicate, scope)
 
-    def kernel(engine: Any, node: FilterNode, outer_env: Any) -> tuple[Scope, Batch]:
-        child_scope, batch = engine._run_plan_batch(node.child, outer_env)
-        pred = bind_pred(engine, outer_env)
+    def kernel(engine: Any, node: FilterNode, outer: Outer) -> tuple[Scope, Batch]:
+        child_scope, batch = engine._run_plan_batch(node.child, outer)
+        pred = bind_pred(engine, outer)
         rows = batch.rows
         sel = [i for i in batch.sel if pred(rows[i]) is True]
         return child_scope, Batch(rows, sel)
@@ -623,10 +783,10 @@ def _install_nested_join(plan: JoinNode, database: Any) -> Scope:
     left_join = plan.kind == "LEFT"
     null_pad = (None,) * len(right_scope)
 
-    def kernel(engine: Any, node: JoinNode, outer_env: Any) -> tuple[Scope, Batch]:
-        _lscope, lbatch = engine._run_plan_batch(node.left, outer_env)
-        _rscope, rbatch = engine._run_plan_batch(node.right, outer_env)
-        cond = None if bind_cond is None else bind_cond(engine, outer_env)
+    def kernel(engine: Any, node: JoinNode, outer: Outer) -> tuple[Scope, Batch]:
+        _lscope, lbatch = engine._run_plan_batch(node.left, outer)
+        _rscope, rbatch = engine._run_plan_batch(node.right, outer)
+        cond = None if bind_cond is None else bind_cond(engine, outer)
         right_rows = rbatch.materialize()
         out = []
         for left_row in map(lbatch.rows.__getitem__, lbatch.sel):
@@ -658,12 +818,12 @@ def _install_hash_join(plan: HashJoinNode, database: Any) -> Scope:
     # hash equal, so 1 meets 1.0 as in SQL.
     plain_inner = plan.kind == "INNER" and plan.residual is None
 
-    def kernel(engine: Any, node: HashJoinNode, outer_env: Any) -> tuple[Scope, Batch]:
-        lscope, lbatch = engine._run_plan_batch(node.left, outer_env)
-        rscope, rbatch = engine._run_plan_batch(node.right, outer_env)
-        left_key = bind_left(engine, outer_env)
-        right_key = bind_right(engine, outer_env)
-        residual = None if bind_residual is None else bind_residual(engine, outer_env)
+    def kernel(engine: Any, node: HashJoinNode, outer: Outer) -> tuple[Scope, Batch]:
+        lscope, lbatch = engine._run_plan_batch(node.left, outer)
+        rscope, rbatch = engine._run_plan_batch(node.right, outer)
+        left_key = bind_left(engine, outer)
+        right_key = bind_right(engine, outer)
+        residual = None if bind_residual is None else bind_residual(engine, outer)
         out_scope = lscope.merge(rscope)
         lrows, lsel = lbatch.rows, lbatch.sel
         rrows, rsel = rbatch.rows, rbatch.sel
@@ -756,8 +916,8 @@ def _install_reorder(plan: ReorderNode, database: Any) -> Scope:
     # the reordered row as a tuple.
     reorder = itemgetter(*[i for s in slices for i in range(s.start, s.stop)])
 
-    def kernel(engine: Any, node: ReorderNode, outer_env: Any) -> tuple[Scope, Batch]:
-        _child_scope, batch = engine._run_plan_batch(node.child, outer_env)
+    def kernel(engine: Any, node: ReorderNode, outer: Outer) -> tuple[Scope, Batch]:
+        _child_scope, batch = engine._run_plan_batch(node.child, outer)
         out = list(map(reorder, map(batch.rows.__getitem__, batch.sel)))
         return scope, Batch(out, range(len(out)))
 

@@ -218,14 +218,9 @@ class Database:
             ref = lambda fn=listener: fn  # noqa: E731 - strong holder
         self._delta_listeners.append(ref)
 
-    def remove_delta_listener(self, listener: Callable[[TableDelta], None]) -> None:
-        self._delta_listeners = [
-            ref for ref in self._delta_listeners if ref() not in (None, listener)
-        ]
-
     def _broadcast(self, delta: TableDelta) -> None:
         # Dispatch over a snapshot, then prune dead refs from the *current*
-        # list — a listener may subscribe or unsubscribe during its own
+        # list — a listener may subscribe another during its own
         # callback, and overwriting with the snapshot would lose that.
         for ref in list(self._delta_listeners):
             fn = ref()
@@ -547,8 +542,6 @@ class Database:
         lines = [f"database {self.name!r}:"]
         for name in self.table_names:
             table = self._tables[name]
-            cols = ", ".join(
-                f"{c.name} {c.sql_type}" for c in table.schema.columns
-            )
+            cols = ", ".join(f"{c.name} {c.sql_type}" for c in table.schema.columns)
             lines.append(f"  {name}({cols}) [{len(table)} rows]")
         return "\n".join(lines)

@@ -8,12 +8,13 @@ filters) runs as a batch kernel (:func:`~repro.sqlengine.columnar.install_kernel
 and the plan produces a batch of row tuples; the executor then applies the
 "upper" query semantics — grouping and aggregation, HAVING, projection
 with star expansion, DISTINCT, ORDER BY and LIMIT — from the AST.
-Projection and grouping run compiled closures over the batch
-(:func:`~repro.sqlengine.columnar.compile_expr`), building one :class:`Env`
-per group rather than per row; an expression outside the compiled subset
-is evaluated through an ``Env`` per row
-(:func:`~repro.sqlengine.columnar.row_fn`).  The projection is output rows
-plus one list per ORDER BY key, sorted as an index permutation
+Every expression above the plan — projection, GROUP BY keys, grouped
+items, HAVING, ORDER BY keys, UPDATE SET and INSERT VALUES — runs as a
+closure from the one expression compiler
+(:func:`~repro.sqlengine.columnar.compile_expr`), compiled once per
+statement execution; a grouped expression compiles over a whole group
+(:func:`~repro.sqlengine.columnar.compile_group_expr`).  The projection is
+output rows plus one list per ORDER BY key, sorted as an index permutation
 (:func:`~repro.sqlengine.types.sort_permutation`).
 """
 
@@ -31,16 +32,18 @@ from repro.errors import (
     SqlSyntaxError,
 )
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.aggregates import AGGREGATE_NAMES, AGGREGATES
+from repro.sqlengine.aggregates import AGGREGATE_NAMES
 from repro.sqlengine.columnar import (
     Batch,
+    Outer,
     RowFn,
     column_position,
+    compile_expr,
+    compile_group_expr,
     install_kernels,
-    row_fn,
 )
 from repro.sqlengine.database import Database
-from repro.sqlengine.expressions import Env, Evaluator, Scope
+from repro.sqlengine.expressions import Scope
 from repro.sqlengine.optimizer import install_index_hints, optimize
 from repro.sqlengine.parser import parse_sql
 from repro.sqlengine.plancache import PlanCache
@@ -80,44 +83,6 @@ def _tuple_of(fns: list[RowFn]) -> RowFn:
     return lambda row: tuple([fn(row) for fn in fns])
 
 
-class _AggregateEvaluator(Evaluator):
-    """Evaluates expressions over a *group* of rows.
-
-    Aggregate calls compute over all group rows; everything else resolves
-    against the group's representative (first) row, matching the permissive
-    semantics of engines like MySQL for non-grouped columns.
-
-    Group rows are raw row tuples; ``arg_fns`` maps every aggregate call
-    (by ``id``) to its argument's row closure.
-    """
-
-    def __init__(
-        self,
-        base: Evaluator,
-        group_rows: list[tuple[Any, ...]],
-        arg_fns: dict[int, RowFn],
-    ) -> None:
-        super().__init__(base._run_subquery)
-        self._group_rows = group_rows
-        self._arg_fns = arg_fns
-
-    def evaluate(self, expr: ast.Expr, env: Env) -> Any:
-        if isinstance(expr, ast.FunctionCall) and expr.name.lower() in AGGREGATE_NAMES:
-            return self._eval_aggregate(expr)
-        return super().evaluate(expr, env)
-
-    def _eval_aggregate(self, expr: ast.FunctionCall) -> Any:
-        name = expr.name.lower()
-        if len(expr.args) == 1 and isinstance(expr.args[0], ast.Star):
-            if name != "count":
-                raise ExecutionError(f"{expr.name}(*) is not valid")
-            return len(self._group_rows)
-        if len(expr.args) != 1:
-            raise ExecutionError(f"{expr.name}() takes exactly one argument")
-        values = list(map(self._arg_fns[id(expr)], self._group_rows))
-        return AGGREGATES[name](values, distinct=expr.distinct)
-
-
 class Engine:
     """Executes SQL statements against an in-memory database.
 
@@ -144,7 +109,6 @@ class Engine:
             if use_plan_cache
             else None
         )
-        self._evaluator = Evaluator(self._run_subquery)
         #: Transaction scope: BEGIN/COMMIT/ROLLBACK routing plus the WAL
         #: record hook for committed DML/DDL (a no-op until a
         #: StorageManager attaches itself as the sink).
@@ -235,9 +199,7 @@ class Engine:
         else:
             stmt = statement
         if not isinstance(stmt, ast.Select):
-            raise ExecutionError(
-                "snapshot execution supports only SELECT statements"
-            )
+            raise ExecutionError("snapshot execution supports only SELECT statements")
         stack = getattr(self._tls, "sources", None)
         if stack is None:
             stack = self._tls.sources = []
@@ -355,25 +317,23 @@ class Engine:
             self.plan_cache.store_plan(cache_key, self._dependency_stamps(select), plan)
         return plan
 
-    def _run_subquery(self, select: ast.Select, env: Env) -> list[tuple[Any, ...]]:
-        return self._execute_select(select, outer_env=env).rows
+    def _run_subquery(self, select: ast.Select, outer: Outer) -> list[tuple[Any, ...]]:
+        return self._execute_select(select, outer=outer).rows
 
     def _execute_select(
         self,
         select: ast.Select,
-        outer_env: Env | None = None,
+        outer: Outer = None,
         cache_key: str | None = None,
     ) -> ResultSet:
         if self.plan_cache is not None:
             if cache_key is None:
                 cache_key = self._statement_key(select)
-            if outer_env is None:
+            if outer is None:
                 # Top-level selects can reuse materialized results outright;
                 # correlated/sub-selects depend on the outer row, so only
                 # their plans are shared.
-                cached = self.plan_cache.result(
-                    cache_key, self._source().table_version
-                )
+                cached = self.plan_cache.result(cache_key, self._source().table_version)
                 if cached is not None:
                     columns, rows = cached
                     return ResultSet(list(columns), list(rows))
@@ -381,11 +341,11 @@ class Engine:
         if plan is None:
             scope, batch = Scope([]), Batch([()], range(1))
         else:
-            scope, batch = self._run_plan_batch(plan, outer_env)
+            scope, batch = self._run_plan_batch(plan, outer)
         if self._is_aggregate_query(select):
-            projected = self._project_groups_batch(select, scope, batch, outer_env)
+            projected = self._project_groups_batch(select, scope, batch, outer)
         else:
-            projected = self._project_batch(select, scope, batch, outer_env)
+            projected = self._project_batch(select, scope, batch, outer)
         columns, rows, keys = projected
         if select.distinct:
             first: dict[tuple[Any, ...], int] = {}
@@ -403,7 +363,7 @@ class Engine:
         elif select.limit is not None:
             rows = rows[: select.limit]
         result = ResultSet(columns, rows)
-        if cache_key is not None and outer_env is None and self.plan_cache is not None:
+        if cache_key is not None and outer is None and self.plan_cache is not None:
             self.plan_cache.store_result(
                 cache_key,
                 self._dependency_stamps(select),
@@ -440,9 +400,7 @@ class Engine:
                     if expr.table is None or binding == expr.table.lower()
                 ]
                 if not matching:
-                    raise PlanError(
-                        f"star {expr.render()!r} matches no table in scope"
-                    )
+                    raise PlanError(f"star {expr.render()!r} matches no table in scope")
                 counts: dict[str, int] = {}
                 for _, column in matching:
                     counts[column] = counts.get(column, 0) + 1
@@ -493,15 +451,14 @@ class Engine:
         select: ast.Select,
         scope: Scope,
         batch: Batch,
-        outer_env: Env | None,
+        outer: Outer,
     ) -> Projected:
-        """Project a batch with row closures, row by row.
+        """Project a batch row by row, each output and ORDER BY expression
+        compiled once for the batch.
 
-        An output or ORDER BY expression outside the compiled subset
-        (subquery, outer reference, unknown function) is evaluated through
-        an Env per row.  When every output and ORDER BY expression is a
-        plain column — nothing can raise, so evaluation order is
-        unobservable — the rows are built column by column in C.
+        When every output and ORDER BY expression is a plain column —
+        nothing can raise, so evaluation order is unobservable — the rows
+        are built column by column in C.
         """
         items = self._expand_items(select, scope)
         order = self._order_exprs(select, items)
@@ -524,10 +481,10 @@ class Engine:
                 for (_, index), position in zip(order, order_positions)
             ]
             return columns, rows, keys
-        item_fns = [row_fn(expr, scope, self, outer_env) for expr, _ in items]
+        item_fns = [compile_expr(expr, scope, self, outer) for expr, _ in items]
         #: int -> projected-column index; callable -> the key's row closure.
         order_keys: list[Any] = [
-            index if expr is None else row_fn(expr, scope, self, outer_env)
+            index if expr is None else compile_expr(expr, scope, self, outer)
             for expr, index in order
         ]
         rows = []
@@ -554,30 +511,18 @@ class Engine:
         select: ast.Select,
         scope: Scope,
         batch: Batch,
-        outer_env: Env | None,
+        outer: Outer,
     ) -> Projected:
-        """Group a batch with key and aggregate-argument row closures.
+        """Group a batch, then emit HAVING, the output row and the ORDER BY
+        keys of each group, in first-seen group order.
 
-        Rows stay plain tuples; each group builds one :class:`Env`, for
-        its representative row.  Only a GROUP BY key or an aggregate
-        argument outside the compiled subset — an outer reference or a
-        subquery — builds an Env per row, for that expression alone.
+        Rows stay plain tuples.  Grouped expressions compile once per
+        statement, over a group row (:func:`compile_group_expr`): the
+        group's first row, or all NULLs for the one empty group of an
+        ungrouped aggregate over no rows, plus the group's rows.
         """
         items, order = self._group_items(select, scope)
-        key_fns = [row_fn(expr, scope, self, outer_env) for expr in select.group_by]
-        arg_fns: dict[int, RowFn] = {}
-        roots = [expr for expr, _ in items] + [e for e, _ in order if e is not None]
-        if select.having is not None:
-            roots.append(select.having)
-        for root in roots:
-            for node in ast.walk(root):
-                if (
-                    isinstance(node, ast.FunctionCall)
-                    and node.name.lower() in AGGREGATE_NAMES
-                    and len(node.args) == 1
-                    and not isinstance(node.args[0], ast.Star)
-                ):
-                    arg_fns[id(node)] = row_fn(node.args[0], scope, self, outer_env)
+        key_fns = [compile_expr(expr, scope, self, outer) for expr in select.group_by]
         rows = batch.materialize()
         groups: Iterable[list[tuple[Any, ...]]] = [rows]
         if key_fns:
@@ -588,51 +533,35 @@ class Engine:
             for row in rows:
                 by_key[key_fn(row)].append(row)
             groups = by_key.values()
-        null_row = (None,) * len(scope)
-        return self._emit_groups(
-            select,
-            items,
-            order,
-            (
-                (group, Env(scope, group[0] if group else null_row, outer_env))
-                for group in groups
-            ),
-            arg_fns,
+        having = (
+            None
+            if select.having is None
+            else compile_group_expr(select.having, scope, self, outer)
         )
-
-    def _emit_groups(
-        self,
-        select: ast.Select,
-        items: list[tuple[ast.Expr, str]],
-        order: list[tuple[ast.Expr | None, int | None]],
-        groups: Iterable[tuple[list[Any], Env]],
-        arg_fns: dict[int, RowFn],
-    ) -> Projected:
-        """HAVING, output row and ORDER BY keys for each (group, its
-        representative Env), in group order."""
-        rows = []
+        item_fns = [compile_group_expr(expr, scope, self, outer) for expr, _ in items]
+        #: int -> projected-column index; callable -> the key's group closure.
+        order_keys: list[Any] = [
+            index if expr is None else compile_group_expr(expr, scope, self, outer)
+            for expr, index in order
+        ]
+        null_row = (None,) * len(scope)
+        out_rows = []
         keys: list[list[Any]] = [[] for _ in order]
-        for group, representative in groups:
-            agg = _AggregateEvaluator(self._evaluator, group, arg_fns)
-            if select.having is not None and agg.evaluate(
-                select.having, representative
-            ) is not True:
+        for group in groups:
+            group_row = (group[0] if group else null_row) + (group,)
+            if having is not None and having(group_row) is not True:
                 continue
-            row = tuple(agg.evaluate(expr, representative) for expr, _ in items)
-            rows.append(row)
-            for column, (expr, index) in zip(keys, order):
-                column.append(
-                    row[index] if expr is None else agg.evaluate(expr, representative)
-                )
-        return [name for _, name in items], rows, keys
+            out = tuple([fn(group_row) for fn in item_fns])
+            out_rows.append(out)
+            for column, key in zip(keys, order_keys):
+                column.append(out[key] if isinstance(key, int) else key(group_row))
+        return [name for _, name in items], out_rows, keys
 
     # -- plan execution --------------------------------------------------------------
 
-    def _run_plan_batch(
-        self, plan: PlanNode, outer_env: Env | None
-    ) -> tuple[Scope, Batch]:
+    def _run_plan_batch(self, plan: PlanNode, outer: Outer) -> tuple[Scope, Batch]:
         """Run a sub-plan through its kernel."""
-        return plan._kernel(self, plan, outer_env)
+        return plan._kernel(self, plan, outer)
 
     def _scan_candidate_ids(self, plan: ScanNode, table: Any) -> set[int] | None:
         """Row ids selected by the scan's index hints (None = all rows)."""
@@ -692,7 +621,8 @@ class Engine:
         return ResultSet(["rows_affected"], [(0,)])
 
     def _const(self, expr: ast.Expr) -> Any:
-        return self._evaluator.evaluate(expr, Env(Scope([]), ()))
+        """One INSERT value: an expression over no columns."""
+        return compile_expr(expr, Scope([]), self)(())
 
     def _execute_insert(self, stmt: ast.Insert) -> ResultSet:
         table = self.database.table(stmt.table)
@@ -747,17 +677,8 @@ class Engine:
         for column, _ in stmt.assignments:
             if not table.schema.has_column(column):
                 raise SchemaError(f"table {table.name!r} has no column {column!r}")
-        scope = Scope([(table.name, col) for col in table.schema.column_names])
         ids = self._matching_row_ids(stmt.table, stmt.where)
-        updated_rows = []
-        for row_id in ids:
-            row = table.row_by_id(row_id)
-            assert row is not None
-            env = Env(scope, row)
-            values = dict(zip(table.schema.column_names, row))
-            for column, expr in stmt.assignments:
-                values[column.lower()] = self._evaluator.evaluate(expr, env)
-            updated_rows.append((row_id, values))
+        updated_rows = self._assign(table, ids, stmt.assignments)
         # In-place update: rows keep their ids and their position in the
         # table's insertion order (a delete+reinsert would move them to the
         # end and change their ids).  Routed through the database so
@@ -767,3 +688,24 @@ class Engine:
         # violation leaves the table untouched.
         self.database.update_rows(stmt.table, updated_rows)
         return ResultSet(["rows_affected"], [(len(ids),)])
+
+    def _assign(
+        self, table: Any, ids: list[int], assignments: tuple[tuple[str, ast.Expr], ...]
+    ) -> list[tuple[int, dict[str, Any]]]:
+        """``(row id, new column values)`` for each row an UPDATE matched,
+        every SET expression read from the row as it was before."""
+        names = table.schema.column_names
+        scope = Scope([(table.name, col) for col in names])
+        setters = [
+            (column.lower(), compile_expr(expr, scope, self))
+            for column, expr in assignments
+        ]
+        updated_rows = []
+        for row_id in ids:
+            row = table.row_by_id(row_id)
+            assert row is not None
+            values = dict(zip(names, row))
+            for column, fn in setters:
+                values[column] = fn(row)
+            updated_rows.append((row_id, values))
+        return updated_rows

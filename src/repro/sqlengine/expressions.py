@@ -1,21 +1,15 @@
-"""Expression evaluation over row environments.
+"""Name scopes and LIKE patterns for the expression compiler
+(:mod:`repro.sqlengine.columnar`) and the executor.
 
-An :class:`Env` binds qualified column names to the values of the current
-row; environments chain to an ``outer`` env so correlated subqueries can see
-the enclosing row.  :class:`Evaluator` implements SQL three-valued logic:
-``None`` propagates through comparisons and arithmetic, and ``AND``/``OR``
-follow Kleene semantics.
+A :class:`Scope` maps the qualified column names of a row tuple to their
+positions; :func:`like_to_regex` turns a SQL LIKE pattern into a regex.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Callable
 
-from repro.errors import ExecutionError, UnknownColumnError
-from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.functions import SCALAR_FUNCTIONS
-from repro.sqlengine.types import compare_values
+from repro.errors import UnknownColumnError
 
 
 class Scope:
@@ -50,38 +44,6 @@ class Scope:
     def merge(self, other: "Scope") -> "Scope":
         return Scope(self.entries + other.entries)
 
-    def qualified_names(self) -> list[str]:
-        return [f"{binding}.{column}" for binding, column in self.entries]
-
-
-class Env:
-    """One row's values under a scope, chaining to an outer environment."""
-
-    __slots__ = ("scope", "row", "outer")
-
-    def __init__(self, scope: Scope, row: tuple[Any, ...], outer: "Env | None" = None):
-        self.scope = scope
-        self.row = row
-        self.outer = outer
-
-    def lookup(self, column: str, table: str | None = None) -> Any:
-        position = self.scope.resolve(column, table)
-        if position is not None:
-            return self.row[position]
-        if self.outer is not None:
-            return self.outer.lookup(column, table)
-        qualifier = f"{table}." if table else ""
-        raise UnknownColumnError(f"unknown column {qualifier}{column!r}")
-
-    def has(self, column: str, table: str | None = None) -> bool:
-        try:
-            position = self.scope.resolve(column, table)
-        except UnknownColumnError:
-            return True  # ambiguous here -> it exists
-        if position is not None:
-            return True
-        return self.outer.has(column, table) if self.outer else False
-
 
 def like_to_regex(pattern: str) -> re.Pattern[str]:
     """Translate a SQL LIKE pattern (% and _) into an anchored regex."""
@@ -94,226 +56,3 @@ def like_to_regex(pattern: str) -> re.Pattern[str]:
         else:
             out.append(re.escape(ch))
     return re.compile("^" + "".join(out) + "$", re.IGNORECASE)
-
-
-#: Signature of the hook the evaluator calls to run a subquery.
-SubqueryRunner = Callable[[ast.Select, Env], list[tuple[Any, ...]]]
-
-
-class Evaluator:
-    """Evaluates :mod:`ast_nodes` expressions against an :class:`Env`.
-
-    ``subquery_runner`` executes a SELECT for subquery expressions, with the
-    current env passed as the correlation context.
-    """
-
-    def __init__(self, subquery_runner: SubqueryRunner | None = None) -> None:
-        self._run_subquery = subquery_runner
-
-    # -- public -------------------------------------------------------------
-
-    def evaluate(self, expr: ast.Expr, env: Env) -> Any:
-        method = getattr(self, f"_eval_{type(expr).__name__.lower()}", None)
-        if method is None:
-            raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-        return method(expr, env)
-
-    def is_true(self, expr: ast.Expr, env: Env) -> bool:
-        """WHERE-clause truth: unknown (NULL) counts as false."""
-        return self.evaluate(expr, env) is True
-
-    # -- node handlers --------------------------------------------------------
-
-    def _eval_literal(self, expr: ast.Literal, env: Env) -> Any:
-        return expr.value
-
-    def _eval_columnref(self, expr: ast.ColumnRef, env: Env) -> Any:
-        return env.lookup(expr.name, expr.table)
-
-    def _eval_unaryop(self, expr: ast.UnaryOp, env: Env) -> Any:
-        value = self.evaluate(expr.operand, env)
-        if expr.op.upper() == "NOT":
-            if value is None:
-                return None
-            return not value
-        if expr.op == "-":
-            if value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ExecutionError(f"cannot negate {value!r}")
-            return -value
-        raise ExecutionError(f"unknown unary operator {expr.op!r}")
-
-    def _eval_binaryop(self, expr: ast.BinaryOp, env: Env) -> Any:
-        op = expr.op.upper()
-        if op == "AND":
-            left = self.evaluate(expr.left, env)
-            if left is False:
-                return False
-            right = self.evaluate(expr.right, env)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if op == "OR":
-            left = self.evaluate(expr.left, env)
-            if left is True:
-                return True
-            right = self.evaluate(expr.right, env)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        left = self.evaluate(expr.left, env)
-        right = self.evaluate(expr.right, env)
-        if op in ("=", "!=", "<", "<=", ">", ">="):
-            cmp = compare_values(left, right)
-            if cmp is None:
-                return None
-            return {
-                "=": cmp == 0,
-                "!=": cmp != 0,
-                "<": cmp < 0,
-                "<=": cmp <= 0,
-                ">": cmp > 0,
-                ">=": cmp >= 0,
-            }[op]
-        if left is None or right is None:
-            return None
-        if op == "+":
-            if isinstance(left, str) and isinstance(right, str):
-                return left + right
-            return self._arith(left, right, lambda a, b: a + b, "+")
-        if op == "-":
-            return self._arith(left, right, lambda a, b: a - b, "-")
-        if op == "*":
-            return self._arith(left, right, lambda a, b: a * b, "*")
-        if op == "/":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            return self._arith(left, right, self._divide, "/")
-        if op == "%":
-            if right == 0:
-                raise ExecutionError("modulo by zero")
-            return self._arith(left, right, lambda a, b: a % b, "%")
-        raise ExecutionError(f"unknown operator {expr.op!r}")
-
-    @staticmethod
-    def _divide(a: Any, b: Any) -> Any:
-        result = a / b
-        return result
-
-    @staticmethod
-    def _arith(left: Any, right: Any, fn: Callable[[Any, Any], Any], op: str) -> Any:
-        ok_left = isinstance(left, (int, float)) and not isinstance(left, bool)
-        ok_right = isinstance(right, (int, float)) and not isinstance(right, bool)
-        if not (ok_left and ok_right):
-            raise ExecutionError(
-                f"arithmetic {op!r} needs numbers, got {left!r} and {right!r}"
-            )
-        return fn(left, right)
-
-    def _eval_functioncall(self, expr: ast.FunctionCall, env: Env) -> Any:
-        name = expr.name.lower()
-        fn = SCALAR_FUNCTIONS.get(name)
-        if fn is None:
-            raise ExecutionError(
-                f"unknown function {expr.name!r} (aggregates are only valid "
-                "in SELECT/HAVING/ORDER BY of a grouped query)"
-            )
-        args = [self.evaluate(arg, env) for arg in expr.args]
-        return fn(*args)
-
-    def _eval_isnull(self, expr: ast.IsNull, env: Env) -> Any:
-        value = self.evaluate(expr.operand, env)
-        result = value is None
-        return (not result) if expr.negated else result
-
-    def _eval_between(self, expr: ast.Between, env: Env) -> Any:
-        value = self.evaluate(expr.operand, env)
-        low = self.evaluate(expr.low, env)
-        high = self.evaluate(expr.high, env)
-        lo_cmp = (
-            compare_values(value, low)
-            if value is not None and low is not None
-            else None
-        )
-        hi_cmp = (
-            compare_values(value, high)
-            if value is not None and high is not None
-            else None
-        )
-        if lo_cmp is None or hi_cmp is None:
-            return None
-        result = lo_cmp >= 0 and hi_cmp <= 0
-        return (not result) if expr.negated else result
-
-    def _eval_like(self, expr: ast.Like, env: Env) -> Any:
-        value = self.evaluate(expr.operand, env)
-        pattern = self.evaluate(expr.pattern, env)
-        if value is None or pattern is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pattern, str):
-            raise ExecutionError("LIKE requires string operands")
-        result = like_to_regex(pattern).match(value) is not None
-        return (not result) if expr.negated else result
-
-    def _eval_inlist(self, expr: ast.InList, env: Env) -> Any:
-        value = self.evaluate(expr.operand, env)
-        if value is None:
-            return None
-        saw_null = False
-        for item in expr.items:
-            candidate = self.evaluate(item, env)
-            if candidate is None:
-                saw_null = True
-                continue
-            if compare_values(value, candidate) == 0:
-                return not expr.negated
-        if saw_null:
-            return None
-        return expr.negated
-
-    def _require_runner(self) -> SubqueryRunner:
-        if self._run_subquery is None:
-            raise ExecutionError("subqueries are not available in this context")
-        return self._run_subquery
-
-    def _eval_insubquery(self, expr: ast.InSubquery, env: Env) -> Any:
-        value = self.evaluate(expr.operand, env)
-        if value is None:
-            return None
-        rows = self._require_runner()(expr.subquery, env)
-        saw_null = False
-        for row in rows:
-            if len(row) != 1:
-                raise ExecutionError("IN subquery must return one column")
-            candidate = row[0]
-            if candidate is None:
-                saw_null = True
-                continue
-            if compare_values(value, candidate) == 0:
-                return not expr.negated
-        if saw_null:
-            return None
-        return expr.negated
-
-    def _eval_scalarsubquery(self, expr: ast.ScalarSubquery, env: Env) -> Any:
-        rows = self._require_runner()(expr.subquery, env)
-        if not rows:
-            return None
-        if len(rows) > 1:
-            raise ExecutionError("scalar subquery returned more than one row")
-        if len(rows[0]) != 1:
-            raise ExecutionError("scalar subquery must return one column")
-        return rows[0][0]
-
-    def _eval_exists(self, expr: ast.Exists, env: Env) -> Any:
-        rows = self._require_runner()(expr.subquery, env)
-        result = bool(rows)
-        return (not result) if expr.negated else result
-
-    def _eval_star(self, expr: ast.Star, env: Env) -> Any:
-        raise ExecutionError("'*' is only valid in a select list or COUNT(*)")

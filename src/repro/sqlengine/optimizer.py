@@ -579,8 +579,8 @@ def install_index_hints(plan: PlanNode, database: Database) -> None:
 def _literal_fits_column(table: Any, column: str, value: Any) -> bool:
     """True when comparing ``value`` with the column cannot type-error.
 
-    Index lookups silently miss on type mismatches, but the residual
-    evaluator raises ``TypeMismatchError`` — so a mismatched literal must
+    Index lookups silently miss on type mismatches, but the compiled
+    residual raises ``TypeMismatchError`` — so a mismatched literal must
     stay residual or the indexed and naive plans disagree on semantics.
     """
     sql_type = table.schema.column(column).sql_type

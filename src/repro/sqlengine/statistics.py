@@ -62,9 +62,7 @@ class Histogram:
 
     __slots__ = ("buckets", "mcv")
 
-    def __init__(
-        self, buckets: list[list[Any]], mcv: dict[Any, int]
-    ) -> None:
+    def __init__(self, buckets: list[list[Any]], mcv: dict[Any, int]) -> None:
         self.buckets = buckets
         self.mcv = mcv
 
@@ -124,9 +122,7 @@ class Histogram:
         raise ValueError(f"unknown range operator {op!r}")
 
     def between_rows(self, low: Any, high: Any) -> float:
-        return max(
-            0.0, self._rows_below(high, True) - self._rows_below(low, False)
-        )
+        return max(0.0, self._rows_below(high, True) - self._rows_below(low, False))
 
     # -- approximate in-place maintenance (compressed columns) --------------
 
@@ -203,9 +199,7 @@ def _build_histogram(
     average = total / len(items)
     # MCVs: values clearly above the average frequency, most frequent
     # first; rank-in-sorted-order breaks ties deterministically.
-    ranked = sorted(
-        range(len(items)), key=lambda i: (-items[i][1], i)
-    )[:mcv_entries]
+    ranked = sorted(range(len(items)), key=lambda i: (-items[i][1], i))[:mcv_entries]
     mcv_positions = {i for i in ranked if items[i][1] > average}
     mcv = {items[i][0]: items[i][1] for i in mcv_positions}
     rest = [items[i] for i in range(len(items)) if i not in mcv_positions]

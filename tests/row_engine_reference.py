@@ -1,28 +1,34 @@
-"""A row plan interpreter: the oracle for the batch kernels.
+"""A row plan interpreter with a tree-walking expression evaluator: the
+oracle for the batch kernels and the expression compiler.
 
 Each operator materializes a list of row tuples, and every expression —
-predicates, join keys, projections, group keys and aggregate arguments —
-is evaluated through an :class:`Env` per row and the
-:class:`Evaluator`.  It is slow but simple enough to read as the
-definition of what a plan computes, which is what
-``tests/test_columnar_differential.py`` needs: :class:`Engine` must
+predicates, join keys, projections, group keys, grouped items, HAVING,
+ORDER BY keys, UPDATE SET and INSERT VALUES — is evaluated by walking its
+tree (:class:`Evaluator`) over one :class:`Env` per row.  An ``Env``
+chains to the enclosing rows, so a correlated subquery's outer
+references are looked up per row, innermost first, and an unknown or
+ambiguous name raises when a row reaches it.  It is slow but simple
+enough to read as the definition of what a statement computes, which is
+what ``tests/test_columnar_differential.py`` needs: :class:`Engine` must
 return the same rows, in the same order, or raise the same error, as
-:class:`RowEngine`.  Test-only — it is not part of the package.
+:class:`RowEngine`.  The two share no evaluation code — this module never
+calls the compiler, a kernel, or the engine's group emission.  Test-only —
+it is not part of the package.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, UnknownColumnError
 from repro.sqlengine import Engine
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.aggregates import AGGREGATE_NAMES
+from repro.sqlengine.aggregates import AGGREGATE_NAMES, AGGREGATES
 from repro.sqlengine.columnar import Batch
 from repro.sqlengine.executor import Projected
-from repro.sqlengine.expressions import Env, Scope
-from repro.sqlengine.optimizer import install_index_hints
+from repro.sqlengine.expressions import Scope, like_to_regex
+from repro.sqlengine.functions import SCALAR_FUNCTIONS
+from repro.sqlengine.optimizer import install_index_hints, optimize
 from repro.sqlengine.planner import (
     FilterNode,
     HashJoinNode,
@@ -30,18 +36,316 @@ from repro.sqlengine.planner import (
     PlanNode,
     ReorderNode,
     ScanNode,
+    build_plan,
     qualify_expr,
     split_conjuncts,
 )
+from repro.sqlengine.types import compare_values
+
+# ==========================================================================
+# Expression evaluation over row environments
+# ==========================================================================
+
+
+class Env:
+    """One row's values under a scope, chaining to an outer environment."""
+
+    __slots__ = ("scope", "row", "outer")
+
+    def __init__(
+        self, scope: Scope, row: tuple[Any, ...], outer: "Env | None" = None
+    ) -> None:
+        self.scope = scope
+        self.row = row
+        self.outer = outer
+
+    def lookup(self, column: str, table: str | None = None) -> Any:
+        position = self.scope.resolve(column, table)
+        if position is not None:
+            return self.row[position]
+        if self.outer is not None:
+            return self.outer.lookup(column, table)
+        qualifier = f"{table}." if table else ""
+        raise UnknownColumnError(f"unknown column {qualifier}{column!r}")
+
+
+#: Signature of the hook the evaluator calls to run a subquery.
+SubqueryRunner = Callable[[ast.Select, Env], list[tuple[Any, ...]]]
+
+
+def _arith(left: Any, right: Any, fn: Callable[[Any, Any], Any], op: str) -> Any:
+    ok_left = isinstance(left, (int, float)) and not isinstance(left, bool)
+    ok_right = isinstance(right, (int, float)) and not isinstance(right, bool)
+    if not (ok_left and ok_right):
+        raise ExecutionError(
+            f"arithmetic {op!r} needs numbers, got {left!r} and {right!r}"
+        )
+    return fn(left, right)
+
+
+class Evaluator:
+    """Evaluates :mod:`ast_nodes` expressions against an :class:`Env`.
+
+    SQL three-valued logic: ``None`` propagates through comparisons and
+    arithmetic, and ``AND``/``OR`` follow Kleene semantics.
+    ``subquery_runner`` executes a SELECT for subquery expressions, with
+    the current env passed as the correlation context.
+    """
+
+    def __init__(self, subquery_runner: SubqueryRunner) -> None:
+        self._run_subquery = subquery_runner
+
+    def evaluate(self, expr: ast.Expr, env: Env) -> Any:
+        method = getattr(self, f"_eval_{type(expr).__name__.lower()}", None)
+        if method is None:
+            raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
+        return method(expr, env)
+
+    def is_true(self, expr: ast.Expr, env: Env) -> bool:
+        """WHERE-clause truth: unknown (NULL) counts as false."""
+        return self.evaluate(expr, env) is True
+
+    def _eval_literal(self, expr: ast.Literal, env: Env) -> Any:
+        return expr.value
+
+    def _eval_columnref(self, expr: ast.ColumnRef, env: Env) -> Any:
+        return env.lookup(expr.name, expr.table)
+
+    def _eval_unaryop(self, expr: ast.UnaryOp, env: Env) -> Any:
+        value = self.evaluate(expr.operand, env)
+        if expr.op.upper() == "NOT":
+            if value is None:
+                return None
+            return not value
+        if expr.op == "-":
+            if value is None:
+                return None
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ExecutionError(f"cannot negate {value!r}")
+            return -value
+        raise ExecutionError(f"unknown unary operator {expr.op!r}")
+
+    def _eval_binaryop(self, expr: ast.BinaryOp, env: Env) -> Any:
+        op = expr.op.upper()
+        if op == "AND":
+            left = self.evaluate(expr.left, env)
+            if left is False:
+                return False
+            right = self.evaluate(expr.right, env)
+            if right is False:
+                return False
+            if left is None or right is None:
+                return None
+            return True
+        if op == "OR":
+            left = self.evaluate(expr.left, env)
+            if left is True:
+                return True
+            right = self.evaluate(expr.right, env)
+            if right is True:
+                return True
+            if left is None or right is None:
+                return None
+            return False
+        left = self.evaluate(expr.left, env)
+        right = self.evaluate(expr.right, env)
+        if op in ("=", "!=", "<", "<=", ">", ">="):
+            cmp = compare_values(left, right)
+            if cmp is None:
+                return None
+            return {
+                "=": cmp == 0,
+                "!=": cmp != 0,
+                "<": cmp < 0,
+                "<=": cmp <= 0,
+                ">": cmp > 0,
+                ">=": cmp >= 0,
+            }[op]
+        if left is None or right is None:
+            return None
+        if op == "+":
+            if isinstance(left, str) and isinstance(right, str):
+                return left + right
+            return _arith(left, right, lambda a, b: a + b, "+")
+        if op == "-":
+            return _arith(left, right, lambda a, b: a - b, "-")
+        if op == "*":
+            return _arith(left, right, lambda a, b: a * b, "*")
+        if op == "/":
+            if right == 0:
+                raise ExecutionError("division by zero")
+            return _arith(left, right, lambda a, b: a / b, "/")
+        if op == "%":
+            if right == 0:
+                raise ExecutionError("modulo by zero")
+            return _arith(left, right, lambda a, b: a % b, "%")
+        raise ExecutionError(f"unknown operator {expr.op!r}")
+
+    def _eval_functioncall(self, expr: ast.FunctionCall, env: Env) -> Any:
+        fn = SCALAR_FUNCTIONS.get(expr.name.lower())
+        if fn is None:
+            raise ExecutionError(
+                f"unknown function {expr.name!r} (aggregates are only valid "
+                "in SELECT/HAVING/ORDER BY of a grouped query)"
+            )
+        args = [self.evaluate(arg, env) for arg in expr.args]
+        return fn(*args)
+
+    def _eval_isnull(self, expr: ast.IsNull, env: Env) -> Any:
+        value = self.evaluate(expr.operand, env)
+        result = value is None
+        return (not result) if expr.negated else result
+
+    def _eval_between(self, expr: ast.Between, env: Env) -> Any:
+        value = self.evaluate(expr.operand, env)
+        low = self.evaluate(expr.low, env)
+        high = self.evaluate(expr.high, env)
+        lo_cmp = (
+            compare_values(value, low)
+            if value is not None and low is not None
+            else None
+        )
+        hi_cmp = (
+            compare_values(value, high)
+            if value is not None and high is not None
+            else None
+        )
+        if lo_cmp is None or hi_cmp is None:
+            return None
+        result = lo_cmp >= 0 and hi_cmp <= 0
+        return (not result) if expr.negated else result
+
+    def _eval_like(self, expr: ast.Like, env: Env) -> Any:
+        value = self.evaluate(expr.operand, env)
+        pattern = self.evaluate(expr.pattern, env)
+        if value is None or pattern is None:
+            return None
+        if not isinstance(value, str) or not isinstance(pattern, str):
+            raise ExecutionError("LIKE requires string operands")
+        result = like_to_regex(pattern).match(value) is not None
+        return (not result) if expr.negated else result
+
+    def _eval_inlist(self, expr: ast.InList, env: Env) -> Any:
+        value = self.evaluate(expr.operand, env)
+        if value is None:
+            return None
+        saw_null = False
+        for item in expr.items:
+            candidate = self.evaluate(item, env)
+            if candidate is None:
+                saw_null = True
+                continue
+            if compare_values(value, candidate) == 0:
+                return not expr.negated
+        if saw_null:
+            return None
+        return expr.negated
+
+    def _eval_insubquery(self, expr: ast.InSubquery, env: Env) -> Any:
+        value = self.evaluate(expr.operand, env)
+        if value is None:
+            return None
+        rows = self._run_subquery(expr.subquery, env)
+        saw_null = False
+        for row in rows:
+            if len(row) != 1:
+                raise ExecutionError("IN subquery must return one column")
+            candidate = row[0]
+            if candidate is None:
+                saw_null = True
+                continue
+            if compare_values(value, candidate) == 0:
+                return not expr.negated
+        if saw_null:
+            return None
+        return expr.negated
+
+    def _eval_scalarsubquery(self, expr: ast.ScalarSubquery, env: Env) -> Any:
+        rows = self._run_subquery(expr.subquery, env)
+        if not rows:
+            return None
+        if len(rows) > 1:
+            raise ExecutionError("scalar subquery returned more than one row")
+        if len(rows[0]) != 1:
+            raise ExecutionError("scalar subquery must return one column")
+        return rows[0][0]
+
+    def _eval_exists(self, expr: ast.Exists, env: Env) -> Any:
+        rows = self._run_subquery(expr.subquery, env)
+        result = bool(rows)
+        return (not result) if expr.negated else result
+
+    def _eval_star(self, expr: ast.Star, env: Env) -> Any:
+        raise ExecutionError("'*' is only valid in a select list or COUNT(*)")
+
+
+class _AggregateEvaluator(Evaluator):
+    """Evaluates expressions over a *group* of rows.
+
+    Aggregate calls compute over all group rows; everything else resolves
+    against the group's representative (first) row, matching the
+    permissive semantics of engines like MySQL for non-grouped columns.
+    Group rows are Envs, and an aggregate's argument is evaluated through
+    the base evaluator in each row's Env.
+    """
+
+    def __init__(self, base: Evaluator, group: list[Env]) -> None:
+        super().__init__(base._run_subquery)
+        self._base = base
+        self._group = group
+
+    def evaluate(self, expr: ast.Expr, env: Env) -> Any:
+        if isinstance(expr, ast.FunctionCall) and expr.name.lower() in AGGREGATE_NAMES:
+            return self._eval_aggregate(expr)
+        return super().evaluate(expr, env)
+
+    def _eval_aggregate(self, expr: ast.FunctionCall) -> Any:
+        name = expr.name.lower()
+        if len(expr.args) == 1 and isinstance(expr.args[0], ast.Star):
+            if name != "count":
+                raise ExecutionError(f"{expr.name}(*) is not valid")
+            return len(self._group)
+        if len(expr.args) != 1:
+            raise ExecutionError(f"{expr.name}() takes exactly one argument")
+        values = [self._base.evaluate(expr.args[0], env) for env in self._group]
+        return AGGREGATES[name](values, distinct=expr.distinct)
+
+
+# ==========================================================================
+# The row engine
+# ==========================================================================
 
 
 class RowEngine(Engine):
-    """An :class:`Engine` that never calls a kernel.
+    """An :class:`Engine` that never calls a kernel or the compiler.
 
     Plans are built, optimized and cached exactly as :class:`Engine` builds
-    them, so both engines run the same plan; this one interprets it with
-    the row operators below and projects through one Env per row.
+    them, but get no kernels, so both engines run the same plan; this one
+    interprets it with the row operators below and evaluates every
+    expression through the :class:`Evaluator`, one Env per row.
     """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._evaluator = Evaluator(self._run_subquery)
+
+    def _plan_for(
+        self, select: ast.Select, cache_key: str | None = None
+    ) -> PlanNode | None:
+        source = self._source()
+        if self.plan_cache is not None:
+            if cache_key is None:
+                cache_key = self._statement_key(select)
+            hit, plan = self.plan_cache.plan(cache_key, source.table_version)
+            if hit:
+                return plan
+        plan = build_plan(select, source)
+        if self.use_optimizer:
+            plan = optimize(plan, source, use_indexes=self.use_indexes)
+        if self.plan_cache is not None:
+            assert cache_key is not None
+            self.plan_cache.store_plan(cache_key, self._dependency_stamps(select), plan)
+        return plan
 
     # -- plan interpretation ----------------------------------------------
 
@@ -223,29 +527,28 @@ class RowEngine(Engine):
                 key = tuple(evaluate(expr, env) for expr in select.group_by)
                 by_key.setdefault(key, []).append(env)
             groups = by_key.values()
-        # Group rows are Envs, so each aggregate argument evaluates
-        # through its row's Env.
-        roots = [expr for expr, _ in items] + [e for e, _ in order if e is not None]
-        if select.having is not None:
-            roots.append(select.having)
-        arg_fns = {
-            id(node): partial(evaluate, node.args[0])
-            for root in roots
-            for node in ast.walk(root)
-            if isinstance(node, ast.FunctionCall)
-            and node.name.lower() in AGGREGATE_NAMES
-            and len(node.args) == 1
-        }
         null_env = Env(scope, (None,) * len(scope), outer_env)
-        return self._emit_groups(
-            select,
-            items,
-            order,
-            ((group, group[0] if group else null_env) for group in groups),
-            arg_fns,
-        )
+        rows = []
+        keys: list[list[Any]] = [[] for _ in order]
+        for group in groups:
+            # HAVING, the output row and the ORDER BY keys, each evaluated
+            # over the group from its representative row's Env.
+            agg = _AggregateEvaluator(self._evaluator, group)
+            representative = group[0] if group else null_env
+            if (
+                select.having is not None
+                and agg.evaluate(select.having, representative) is not True
+            ):
+                continue
+            row = tuple(agg.evaluate(expr, representative) for expr, _ in items)
+            rows.append(row)
+            for column, (expr, index) in zip(keys, order):
+                column.append(
+                    row[index] if expr is None else agg.evaluate(expr, representative)
+                )
+        return [name for _, name in items], rows, keys
 
-    # -- DML WHERE -------------------------------------------------------------
+    # -- DML -----------------------------------------------------------------
 
     def _matching_row_ids(self, table_name: str, where: ast.Expr | None) -> list[int]:
         table = self.database.table(table_name)
@@ -273,3 +576,23 @@ class RowEngine(Engine):
                 for pred in scan.residual_filters
             )
         ]
+
+    def _assign(
+        self,
+        table: Any,
+        ids: list[int],
+        assignments: tuple[tuple[str, ast.Expr], ...],
+    ) -> list[tuple[int, dict[str, Any]]]:
+        scope = Scope([(table.name, col) for col in table.schema.column_names])
+        updated_rows = []
+        for row_id in ids:
+            row = table.row_by_id(row_id)
+            env = Env(scope, row)
+            values = dict(zip(table.schema.column_names, row))
+            for column, expr in assignments:
+                values[column.lower()] = self._evaluator.evaluate(expr, env)
+            updated_rows.append((row_id, values))
+        return updated_rows
+
+    def _const(self, expr: ast.Expr) -> Any:
+        return self._evaluator.evaluate(expr, Env(Scope([]), ()))

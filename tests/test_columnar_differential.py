@@ -1,12 +1,12 @@
 """Batch-kernel vs row-interpreter differential harness.
 
-The engine runs every plan node as a batch kernel
-(`repro.sqlengine.columnar`); an expression outside the compiled subset
-is evaluated through an Env per row inside its kernel.  It must be
-*observably identical* to the row interpreter kept test-only in
-``tests/row_engine_reference.py``: the same rows, in the same order,
-under the same column names, from the same optimizer plan — and when a
-query errors, the same error.  This suite proves it two ways:
+The engine runs every plan node as a batch kernel and every expression as
+a closure from one compiler (`repro.sqlengine.columnar`).  It must be
+*observably identical* to the row interpreter and tree-walking evaluator
+kept test-only in ``tests/row_engine_reference.py``: the same rows, in
+the same order, under the same column names, from the same optimizer plan
+— and when a statement errors, the same error.  This suite proves it two
+ways:
 
 * **corpus sweep** — every SELECT in the five domains' gold files (the
   corpus, wild, dialogue and ambiguous records) runs through the engine
@@ -15,9 +15,10 @@ query errors, the same error.  This suite proves it two ways:
 * **hypothesis sweep** — generated SELECTs over a NULL-heavy two-table
   schema: filters in all compiled shapes (comparisons, BETWEEN, IN,
   LIKE, IS NULL, AND/OR/NOT), arithmetic that can raise, inner/left
-  joins, aggregates and grouping, ORDER BY/LIMIT, and subqueries that
-  take the per-row Env path.  Hypothesis shrinks any mismatch to a
-  minimal failing query.
+  joins, aggregates and grouping, ORDER BY/LIMIT, correlated EXISTS,
+  scalar and IN subqueries with outer references two levels deep, and
+  UPDATE statements on two clones of the schema.  Hypothesis shrinks any
+  mismatch to a minimal failing statement.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import ALL_DOMAINS, load_bundle
 from repro.evaluation.goldsets import load_gold_records
-from repro.sqlengine import Database, Engine, expressions, parse_sql
+from repro.sqlengine import Database, Engine, columnar, executor, parse_sql
 from tests.row_engine_reference import RowEngine
 
 
@@ -104,8 +105,8 @@ def test_corpus_sweep_is_substantial():
 # ==========================================================================
 
 
-@pytest.fixture(scope="module")
-def engines():
+def _build_db() -> Database:
+    """The NULL-heavy schema every sweep and pin below runs on."""
     db = Database()
     setup = Engine(db)
     setup.execute(
@@ -143,6 +144,14 @@ def engines():
         "INSERT INTO q VALUES (10, 1.0, 'a'), (11, 2.5, 'b'), (12, NULL, 'c'), "
         "(13, 3.0, 'd'), (14, 1.0, 'e'), (15, NULL, 'f')"
     )
+    # p's schema with no rows: the pinned errors that only a row raises.
+    setup.execute("CREATE TABLE e (id INT PRIMARY KEY, k INT, tag TEXT)")
+    return db
+
+
+@pytest.fixture(scope="module")
+def engines():
+    db = _build_db()
     return RowEngine(db), Engine(db)
 
 
@@ -305,6 +314,189 @@ def test_hypothesis_aggregates_and_subqueries(engines, data):
     assert_identical(*engines, sql)
 
 
+#: FROM clauses of the top query.  The joins make ``id`` (with u) or every
+#: t column (with t2) ambiguous at the top only, so a subquery reaching for
+#: one of those names finds it ambiguous in the outer scope.
+_OUTER_SOURCES = ["t", "t JOIN u ON u.t_id = t.id", "t JOIN t AS t2 ON t2.id = t.a"]
+
+#: FROM clauses of a subquery, with the numeric columns it selects and
+#: compares.  Depth 2 nests only the small tables, so a statement stays
+#: cheap for the row engine.
+_INNER_SOURCES = {
+    "u": ["u.n", "u.t_id", "u.id"],
+    "q": ["q.k", "q.id"],
+    "p": ["p.k", "p.id"],
+    "q JOIN p ON p.k = q.k": ["q.k", "p.id", "q.id"],
+}
+
+#: Names a subquery may reach for: qualified and bare, found locally, one
+#: or two levels out, ambiguous somewhere on the way, or nowhere.  A bare
+#: name held by several enclosing levels (``n``, ``k``, ``id``) reads the
+#: innermost.
+_REACH = [
+    "t.a",
+    "t.id",
+    "t.b",
+    "u.n",
+    "u.t_id",
+    "t2.a",
+    "p.k",
+    "q.k",
+    "a",
+    "b",
+    "n",
+    "k",
+    "id",
+    "tag",
+    "nosuch",
+]
+
+
+@st.composite
+def _correlated(draw, depth=1):
+    """A subquery predicate whose WHERE compares an inner column with a
+    name from :data:`_REACH`; at depth 1 it may hold a depth-2 one."""
+    choices = sorted(_INNER_SOURCES) if depth == 1 else ["p", "q"]
+    source = draw(st.sampled_from(choices))
+    column = draw(st.sampled_from(_INNER_SOURCES[source]))
+    ref = draw(st.sampled_from(_REACH))
+    op = draw(st.sampled_from(["=", "<", ">=", "!="]))
+    where = f"{column} {op} {ref}"
+    if depth == 1 and draw(st.booleans()):
+        connective = draw(st.sampled_from(["AND", "OR"]))
+        where = f"({where}) {connective} {draw(_correlated(depth=2))}"
+    kind = draw(st.sampled_from(["exists", "scalar", "in"]))
+    negated = "NOT " if draw(st.booleans()) else ""
+    if kind == "exists":
+        return f"{negated}EXISTS (SELECT {column} FROM {source} WHERE {where})"
+    if kind == "scalar":
+        aggregate = draw(st.sampled_from(["MAX", "MIN", "COUNT", "SUM"]))
+        argument = draw(st.sampled_from([column, ref]))  # an outer one, too
+        rhs = draw(st.sampled_from(["t.a", "2", ref]))
+        return (
+            f"(SELECT {aggregate}({argument}) FROM {source} WHERE {where}) "
+            f"{op} {rhs}"
+        )
+    operand = draw(st.sampled_from(["t.id", "t.a", ref]))
+    return f"{operand} {negated}IN (SELECT {column} FROM {source} WHERE {where})"
+
+
+@_differential_settings
+@given(data=st.data())
+def test_hypothesis_correlated_subqueries(engines, data):
+    source = data.draw(st.sampled_from(_OUTER_SOURCES))
+    predicate = data.draw(_correlated())
+    placement = data.draw(st.sampled_from(["where", "item", "having"]))
+    if placement == "where":
+        sql = (
+            f"SELECT t.id, t.a FROM {source} WHERE t.id < 20 AND {predicate} "
+            "ORDER BY t.id"
+        )
+    elif placement == "item":
+        sql = f"SELECT t.id, {predicate} FROM {source} WHERE t.id < 20 ORDER BY t.id"
+    else:
+        # Grouped: the subquery's outer references read each group's
+        # first row.
+        sql = (
+            f"SELECT t.flag, COUNT(*) FROM {source} WHERE t.id < 20 "
+            f"GROUP BY t.flag HAVING {predicate}"
+        )
+    assert_identical(*engines, sql)
+
+
+@pytest.fixture(scope="module")
+def clones():
+    """Two databases built alike, one per engine, so a write runs on each."""
+    return RowEngine(_build_db()), Engine(_build_db())
+
+
+_SET_ITEMS = [
+    "a = t.a + 1",
+    "a = t.a * t.id - 3",
+    "a = t.id / t.a",  # a zero or NULL divisor on some rows
+    "a = t.id % (t.a + 5)",
+    "a = -t.a",
+    "b = t.b * 2",
+    "b = t.a / 4",
+    "b = t.b + t.a",  # reads a, which an earlier SET item may write
+    "s = upper(t.s)",
+    "s = t.s + '!'",
+    "a = t.s + 1",  # raises on the first matched row with a text s
+    "a = (SELECT MAX(u.n) FROM u WHERE u.t_id = t.id)",  # correlated
+    "a = nosuch + 1",  # raises only if a row matches
+]
+
+
+def _update_on_clones(clones, sql: str, probe: str = "SELECT * FROM t"):
+    """Run an UPDATE on both clones inside a rolled-back transaction: both
+    must report the same count and leave the same table (``probe``'s
+    rows), or raise the same error and leave the table untouched."""
+    before = clones[1].execute(probe).rows
+    outcomes = []
+    for engine in clones:
+        engine.execute("BEGIN")
+        try:
+            outcomes.append((_outcome(engine, sql), engine.execute(probe).rows))
+        finally:
+            engine.execute("ROLLBACK")
+    assert outcomes[0] == outcomes[1], sql
+    if outcomes[0][0][0] == "error":
+        assert outcomes[0][1] == before, sql
+    for engine in clones:
+        assert engine.execute(probe).rows == before
+    return outcomes[0]
+
+
+@_differential_settings
+@given(data=st.data())
+def test_hypothesis_update_set(clones, data):
+    items = data.draw(
+        st.lists(
+            st.sampled_from(_SET_ITEMS),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda item: item.split(" = ")[0],  # one SET per column
+        )
+    )
+    where = data.draw(_predicate(["t.id", "t.a", "t.b", "t.s", "t.flag"]))
+    _update_on_clones(clones, f"UPDATE t SET {', '.join(items)} WHERE {where}")
+
+
+#: UPDATEs whose rows 0-7 of t afterwards are written out: every SET
+#: expression reads the row as it was before the statement.
+UPDATE_PINS = {
+    "UPDATE t SET a = t.a + 1, b = t.a WHERE t.id < 4": (
+        (0, None, None),
+        (1, 3, 2.0),
+        (2, 10, 9.0),
+        (3, None, None),
+        (4, 3, 3.0),
+        (5, 10, 4.5),
+        (6, None, None),
+        (7, 4, 7.5),
+    ),
+    "UPDATE t SET b = t.a / 4, a = t.id WHERE t.id BETWEEN 4 AND 7": (
+        (0, None, -3.0),
+        (1, 2, None),
+        (2, 9, 0.0),
+        (3, None, 1.5),
+        (4, 4, 0.75),
+        (5, 5, 2.5),
+        (6, 6, None),
+        (7, 7, 1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("sql", UPDATE_PINS)
+def test_update_pinned(clones, sql):
+    outcome, rows = _update_on_clones(
+        clones, sql, "SELECT id, a, b FROM t WHERE id < 8"
+    )
+    assert outcome == ("ok", ("rows_affected",), ((4,),))
+    assert tuple(rows) == UPDATE_PINS[sql]
+
+
 # ==========================================================================
 # Targeted parity pins (shapes the sweeps could sample past)
 # ==========================================================================
@@ -315,7 +507,7 @@ PINNED = [
     # operand when the left is False, and errors when it is not.
     "SELECT t.id FROM t WHERE t.a > 100 AND t.id / 0 > 1",
     "SELECT t.id FROM t WHERE t.id >= 0 OR t.id / 0 > 1",
-    # Type mismatches surface as NULL comparisons, not errors.
+    # Type mismatches raise TypeMismatchError on both engines.
     "SELECT t.id FROM t WHERE t.s > 5",
     "SELECT t.id FROM t WHERE t.flag = 'yes'",
     # LIKE on a non-text operand must raise on both engines.
@@ -371,7 +563,7 @@ _EXPECTED_PINS = [
         ((1, 14), (2, None), (3, None), (4, 13), (5, 14)),
     ),
     # An aggregate over an outer column inside a correlated subquery: the
-    # argument does not compile, so it builds one Env per row.
+    # argument is that run's constant, summed once per inner row.
     (
         "SELECT p.id, (SELECT SUM(p.k) FROM q WHERE q.k = p.k) AS s "
         "FROM p ORDER BY p.id",
@@ -393,10 +585,10 @@ _EXPECTED_PINS = [
     ("SELECT COUNT(*), AVG(p.k) FROM p WHERE p.id > 99", ((0, None),)),
     # HAVING on an aggregate the select list does not carry.
     ("SELECT p.k FROM p GROUP BY p.k HAVING SUM(p.id) > 3", ((1,), (3,))),
-    # Below: nodes mixing compiled expressions with ones evaluated through
-    # an Env per row.  A hash-join residual holding a subquery, INNER
-    # (built on p, probed in q's order) and LEFT (probed in p's order,
-    # unmatched rows padded).
+    # Below: nodes mixing expressions compiled once with ones compiled per
+    # run.  A hash-join residual holding a subquery, INNER (built on p,
+    # probed in q's order) and LEFT (probed in p's order, unmatched rows
+    # padded).
     (
         f"SELECT p.id, q.id FROM p JOIN q ON p.k = q.k AND {_IN_SUB}",
         ((4, 13), (1, 14), (5, 14)),
@@ -445,8 +637,8 @@ _EXPECTED_PINS = [
     # A NULL from an uncompiled predicate rejects the row, as FALSE does.
     ("SELECT p.id FROM p WHERE p.k IN (SELECT q.k FROM q)", ((1,), (4,), (5,))),
     ("SELECT p.id FROM p WHERE p.k NOT IN (SELECT q.k FROM q)", ()),
-    # A correlated inner query: its compiled conjunct runs in the scan,
-    # the outer reference through an Env over the outer row.
+    # A correlated inner query: its local conjunct runs in the scan, the
+    # one with the outer reference in a filter bound once per outer row.
     (
         "SELECT p.id, (SELECT COUNT(*) FROM q WHERE q.k = p.k AND q.id > 10) "
         "FROM p ORDER BY p.id",
@@ -472,11 +664,99 @@ _EXPECTED_PINS = [
         "SELECT COUNT(*), MAX(p.id + (SELECT MIN(q.id) FROM q)) FROM p",
         ((5, 15),),
     ),
-    # An uncompiled predicate raises exactly where the evaluator does.
+    # A subquery predicate raises exactly where the evaluator does.
     (
         "SELECT p.id FROM p WHERE p.k > 1 AND p.id = (SELECT q.id FROM q)",
         ("error", "ExecutionError", "scalar subquery returned more than one row"),
     ),
+    # A bare name held by both enclosing levels reads the innermost: k is
+    # q.k here, not p.k, so every p row counts the same q rows.
+    (
+        "SELECT p.id, (SELECT COUNT(*) FROM q WHERE EXISTS "
+        "(SELECT u.id FROM u WHERE u.n = k)) FROM p ORDER BY p.id",
+        ((1, 3), (2, 3), (3, 3), (4, 3), (5, 3)),
+    ),
+    # Both levels read at depth 2.
+    (
+        "SELECT p.id, (SELECT COUNT(*) FROM q WHERE EXISTS "
+        "(SELECT u.id FROM u WHERE u.n = p.k + q.k)) FROM p ORDER BY p.id",
+        ((1, 1), (2, 3), (3, 0), (4, 2), (5, 1)),
+    ),
+    # A name ambiguous only in the outer scope raises once a row reaches it.
+    (
+        "SELECT t.id FROM t JOIN t AS t2 ON t2.id = t.a "
+        "WHERE EXISTS (SELECT q.id FROM q WHERE q.k = a)",
+        ("error", "UnknownColumnError", "ambiguous column reference 'a'"),
+    ),
+    (
+        "SELECT t.id FROM t JOIN t AS t2 ON t2.id = t.a "
+        "WHERE t.id < 0 AND EXISTS (SELECT q.id FROM q WHERE q.k = a)",
+        (),
+    ),
+    # A grouped non-aggregate reads the group's first row, and so does a
+    # correlated subquery in a grouped item, HAVING or ORDER BY key.
+    (
+        "SELECT p.k, p.tag, COUNT(*) FROM p GROUP BY p.k",
+        ((1, "one", 2), (2, "two", 1), (None, "none", 1), (3, "three", 1)),
+    ),
+    (
+        "SELECT p.k, (SELECT COUNT(*) FROM q WHERE q.id > p.id + 8) FROM p "
+        "GROUP BY p.k",
+        ((1, 6), (2, 5), (None, 4), (3, 3)),
+    ),
+    (
+        "SELECT p.k, (SELECT COUNT(*) FROM q WHERE q.k = p.k) FROM p GROUP BY p.k",
+        ((1, 2), (2, 0), (None, 0), (3, 1)),
+    ),
+    (
+        "SELECT p.k, COUNT(*) FROM p GROUP BY p.k "
+        "HAVING EXISTS (SELECT q.id FROM q WHERE q.k = p.k)",
+        ((1, 2), (3, 1)),
+    ),
+    (
+        "SELECT p.k, COUNT(*) FROM p GROUP BY p.k "
+        "ORDER BY (SELECT MAX(q.id) FROM q WHERE q.k <= p.k), 1",
+        ((None, 1), (1, 2), (2, 1), (3, 1)),
+    ),
+]
+
+_UNKNOWN_COLUMN = ("error", "UnknownColumnError", "unknown column 'nosuch'")
+_AMBIGUOUS = ("error", "UnknownColumnError", "ambiguous column reference 'k'")
+_UNKNOWN_FUNCTION = (
+    "error",
+    "ExecutionError",
+    "unknown function 'nosuchfn' (aggregates are only valid in "
+    "SELECT/HAVING/ORDER BY of a grouped query)",
+)
+_STAR = ("error", "ExecutionError", "'*' is only valid in a select list or COUNT(*)")
+
+#: Names, functions and stars that cannot be evaluated raise only when a
+#: row reaches them: on the empty table e a statement answers, on p (the
+#: same schema, with rows) it raises.  This pins the data-dependent
+#: behaviour as it stands; binding names before any row is read will
+#: change the empty-table rows on purpose.
+_EXPECTED_PINS += [
+    ("SELECT nosuch FROM e", ()),
+    ("SELECT nosuch FROM p", _UNKNOWN_COLUMN),
+    ("SELECT e.id FROM e WHERE nosuch > 1", ()),
+    ("SELECT p.id FROM p WHERE nosuch > 1", _UNKNOWN_COLUMN),
+    ("SELECT e.id FROM e ORDER BY nosuch", ()),
+    ("SELECT p.id FROM p ORDER BY nosuch", _UNKNOWN_COLUMN),
+    ("SELECT SUM(nosuch) FROM e", ((None,),)),
+    ("SELECT SUM(nosuch) FROM p", _UNKNOWN_COLUMN),
+    # A grouped non-aggregate reads the all-NULL row of the empty group.
+    ("SELECT nosuch, COUNT(*) FROM e", _UNKNOWN_COLUMN),
+    ("SELECT e.id FROM e WHERE EXISTS (SELECT q.id FROM q WHERE q.k = nosuch)", ()),
+    (
+        "SELECT p.id FROM p WHERE EXISTS (SELECT q.id FROM q WHERE q.k = nosuch)",
+        _UNKNOWN_COLUMN,
+    ),
+    ("SELECT k FROM e JOIN e AS e2 ON e.id = e2.id", ()),
+    ("SELECT k FROM p JOIN p AS p2 ON p.id = p2.id", _AMBIGUOUS),
+    ("SELECT nosuchfn(e.k) FROM e", ()),
+    ("SELECT nosuchfn(p.k) FROM p", _UNKNOWN_FUNCTION),
+    ("SELECT e.id FROM e WHERE upper(*) = 'x'", ()),
+    ("SELECT p.id FROM p WHERE upper(*) = 'x'", _STAR),
 ]
 EXPECTED: dict[str, tuple] = dict(_EXPECTED_PINS)
 PINNED += list(EXPECTED)
@@ -535,30 +815,78 @@ def test_dml_where_matches_reference(engines, where):
     assert answers == [DML_WHERE[where]] * 2
 
 
-def test_aggregates_group_env_free_unless_an_argument_cannot_compile(
+def test_grouping_compiles_once_and_outer_references_bind_once_per_run(
     engines, monkeypatch
 ):
-    """Grouping builds one Env per group, for its representative row; an
-    expression that does not compile adds one Env per row it evaluates."""
-    made = []
+    """A grouped expression compiles once per statement, not once per
+    group; an outer reference is looked up once per run of its subquery,
+    not once per inner row."""
+    calls = {"group": 0, "outer": 0}
 
-    class CountingEnv(expressions.Env):
-        __slots__ = ()
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
 
-        def __init__(self, *args):
-            made.append(1)
-            super().__init__(*args)
+        return wrapper
 
-    for module in ("executor", "columnar"):
-        monkeypatch.setattr(f"repro.sqlengine.{module}.Env", CountingEnv)
-    engine = Engine(engines[1].database)
-    engine.execute("SELECT p.k, COUNT(*), SUM(p.id) FROM p GROUP BY p.k")
-    assert len(made) == 4  # one per group
-    made.clear()
-    engine.execute(
-        "SELECT p.id, (SELECT SUM(p.k) FROM q WHERE q.k = p.k) FROM p ORDER BY p.id"
+    monkeypatch.setattr(
+        executor,
+        "compile_group_expr",
+        counting("group", executor.compile_group_expr),
     )
-    # Per outer row: 1 for the subquery item, 6 for the inner filter's
-    # outer reference (one per q row), 1 for the inner group; plus 5 in
-    # all for SUM(p.k) over the inner rows that matched (2+0+0+1+2).
-    assert len(made) == 5 * (1 + 6 + 1) + 5
+    monkeypatch.setattr(
+        columnar, "_outer_value", counting("outer", columnar._outer_value)
+    )
+    engine = Engine(engines[1].database)
+    rows = engine.execute(
+        "SELECT p.k, COUNT(*), SUM(p.id) FROM p GROUP BY p.k "
+        "HAVING MAX(p.id) > 0 ORDER BY MIN(p.tag)"
+    ).rows
+    assert len(rows) == 4
+    assert calls == {"group": 5, "outer": 0}  # 3 items, HAVING, 1 ORDER BY key
+    calls.update(group=0, outer=0)
+    sql = "SELECT p.id, (SELECT COUNT(*) FROM q WHERE q.k = p.k) FROM p"
+    assert "Filter((q.k = p.k))" in engine.explain(
+        "SELECT COUNT(*) FROM q WHERE q.k = p.k"
+    )
+    engine.execute(sql)
+    # Per outer row (5 of them, over 6 q rows): the inner filter binds p.k
+    # once, and the inner COUNT(*) compiles once.
+    assert calls == {"group": 5, "outer": 5}
+
+
+def test_row_engine_shares_no_evaluation_code(monkeypatch):
+    """The oracle never reaches the engine's compiler, kernels or group
+    emission, on reads, writes and subqueries alike."""
+    reference = RowEngine(_build_db())
+    reached = []
+
+    def guard(name):
+        def trap(*args, **kwargs):
+            reached.append(name)
+            raise AssertionError(f"RowEngine called {name}")
+
+        return trap
+
+    for module, name in [
+        (columnar, "compile_expr"),
+        (columnar, "compile_group_expr"),
+        (columnar, "bind_expr"),
+        (columnar, "bind_selector"),
+        (columnar, "install_kernels"),
+        (executor, "compile_expr"),
+        (executor, "compile_group_expr"),
+        (executor, "install_kernels"),
+    ]:
+        monkeypatch.setattr(module, name, guard(name))
+    for sql in PINNED:
+        _outcome(reference, sql)
+    for sql in [
+        "UPDATE t SET a = t.a + (SELECT MAX(u.n) FROM u WHERE u.t_id = t.id) "
+        "WHERE t.id < 5",
+        "INSERT INTO e VALUES ((SELECT MAX(p.id) FROM p) + 1, 2 * 3, 'x')",
+        "DELETE FROM e WHERE e.k IN (SELECT p.k FROM p)",
+    ]:
+        assert _outcome(reference, sql)[0] == "ok", sql
+    assert reached == []

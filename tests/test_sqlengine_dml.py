@@ -331,7 +331,7 @@ class TestDmlUsesIndexes:
 
 class TestDmlWhereThroughScanKernel:
     """A DML WHERE runs through the SELECT scan kernel: compiled conjuncts
-    as selectors, a subquery conjunct through an Env per row."""
+    as selectors, a subquery conjunct as a predicate compiled per run."""
 
     def _engine(self):
         engine = Engine(Database())
