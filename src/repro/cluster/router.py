@@ -488,9 +488,7 @@ class ClusterRouter:
             state, sid, payload, key="envelopes"
         )
         for question, envelope in zip(questions, result):
-            self._note_response(
-                state, handle.index, question, sid, clarify, envelope
-            )
+            self._note_response(state, handle.index, question, sid, clarify, envelope)
         return result
 
     async def _dispatch_sticky(
@@ -556,9 +554,7 @@ class ClusterRouter:
             if frame.get("code") == "clarification":
                 if frame.get("live"):
                     raise ApiError(400, frame.get("error", ""), "bad_choice")
-                raise ApiError(
-                    404, frame.get("error", ""), "unknown_clarification"
-                )
+                raise ApiError(404, frame.get("error", ""), "unknown_clarification")
             raise ApiError(
                 422, frame.get("error", "worker error"), frame.get("code", "")
             )
@@ -573,9 +569,7 @@ class ClusterRouter:
             return await self._execute_read(state, sql)
         return await self._execute_write(state, sql, word)
 
-    async def _execute_read(
-        self, state: _DomainState, sql: str
-    ) -> dict[str, Any]:
+    async def _execute_read(self, state: _DomainState, sql: str) -> dict[str, Any]:
         payload = {"op": "execute", "domain": state.spec.name, "sql": sql}
         for _ in range(max(2, self.supervisor.procs)):
             handle = self._next_reader(self._live_or_503())
@@ -683,9 +677,7 @@ class ClusterRouter:
             )
         return {"columns": frame["columns"], "rows": frame["rows"]}
 
-    async def _replicate(
-        self, state: _DomainState, statements: list[str]
-    ) -> None:
+    async def _replicate(self, state: _DomainState, statements: list[str]) -> None:
         """Apply acked statements on every non-writer worker before the
         client sees the ack (synchronous, read-your-writes).
 
@@ -866,9 +858,7 @@ class ClusterRouter:
         async with self._handoff_lock:
             if self.supervisor.handles[index].live:
                 return  # it came back before we got here
-            targets = [
-                h for h in self.supervisor.live_handles() if h.index != index
-            ]
+            targets = [h for h in self.supervisor.live_handles() if h.index != index]
             if not targets:
                 return  # nobody to adopt; respawn-time adoption covers it
             for state in self._domains.values():
@@ -878,12 +868,8 @@ class ClusterRouter:
     async def _handoff_domain(
         self, state: _DomainState, index: int, target: WorkerHandle
     ) -> None:
-        sids = {
-            sid for sid, owner in state.session_owner.items() if owner == index
-        }
-        loose = {
-            cid for cid, owner in state.clar_owner.items() if owner == index
-        }
+        sids = {sid for sid, owner in state.session_owner.items() if owner == index}
+        loose = {cid for cid, owner in state.clar_owner.items() if owner == index}
         if not sids and not loose:
             return
         records = _records_for(state.events, sids, loose)

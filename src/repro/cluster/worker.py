@@ -237,9 +237,7 @@ class _Worker:
             return {"envelopes": [response.to_dict() for response in responses]}
         if op == "resolve":
             service = self._service(request)
-            response = service.resolve(
-                request["clarification_id"], request["choice"]
-            )
+            response = service.resolve(request["clarification_id"], request["choice"])
             return {"envelope": response.to_dict()}
         if op == "execute":
             result = self._service(request).execute(request["sql"])

@@ -32,7 +32,6 @@ from repro.core.paraphrase import paraphrase as make_paraphrase
 from repro.core.sqlgen import SqlGenerator
 from repro.core.tagger import QuestionTagger
 from repro.errors import (
-    AmbiguityError,
     ClarificationError,
     DialogueError,
     EngineError,

@@ -7,7 +7,7 @@ database, so corpora with embedded gold values stay valid.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.lexicon.domain import DomainModel
 from repro.sqlengine.database import Database

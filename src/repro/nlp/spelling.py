@@ -5,6 +5,15 @@ misspelled domain word would otherwise kill the whole question.  The
 corrector here uses Damerau–Levenshtein distance (insert, delete,
 substitute, transpose) with a length-aware threshold and a frequency
 tie-break.
+
+Only words within the typo's budget of its length are candidates, and a
+letter-set bound skips most of those before the distance is computed.
+One edit changes the set of letters a word uses by at most two: an
+insertion or a deletion adds or drops at most one letter, a substitution
+at most two, an adjacent transposition none.  So a word whose letter
+set differs from the typo's in more than ``2 * budget`` letters is
+already beyond the budget, and skipping it leaves every correction
+identical.
 """
 
 from __future__ import annotations
@@ -168,7 +177,9 @@ class SpellingCorrector:
     def correct(self, word: str) -> Correction | None:
         """Best correction for ``word``, or None if nothing is close enough.
 
-        Known words return distance-0 corrections immediately.
+        Known words return distance-0 corrections immediately.  Among the
+        words of a nearby length, only those the letter-set bound (see the
+        module docstring) cannot rule out are scored.
         """
         lowered = word.lower()
         if lowered in self._vocabulary:
@@ -176,9 +187,12 @@ class SpellingCorrector:
         budget = _threshold(len(lowered))
         if budget == 0:
             return None
+        letters = set(lowered)
         best: tuple[int, int, str] | None = None  # (distance, -weight, word)
         for length in range(len(lowered) - budget, len(lowered) + budget + 1):
             for candidate in self._by_length.get(length, ()):
+                if len(letters.symmetric_difference(candidate)) > 2 * budget:
+                    continue  # letter-set bound: the distance exceeds budget
                 distance = damerau_levenshtein(lowered, candidate, cap=budget)
                 if distance > budget:
                     continue

@@ -358,9 +358,7 @@ class ServiceBackend:
     async def stats(self, domain: str | None = None) -> dict[str, Any]:
         if domain is not None:
             return {"service": self._service(domain).stats}
-        payload: dict[str, Any] = {
-            "service": self.services[self.default_domain].stats
-        }
+        payload: dict[str, Any] = {"service": self.services[self.default_domain].stats}
         if len(self.services) > 1:
             payload["domains"] = {
                 name: service.stats for name, service in self.services.items()
@@ -633,14 +631,10 @@ class NliHttpServer:
             raise ApiError(404, f"no such domain: {domain}", "unknown_domain")
         return domain, "/" + endpoint
 
-    def _resolve_domain(
-        self, path_domain: str | None, body: dict[str, Any]
-    ) -> str:
+    def _resolve_domain(self, path_domain: str | None, body: dict[str, Any]) -> str:
         body_domain = _optional_str(body, "domain")
         if body_domain is not None and body_domain not in self.backend.domains():
-            raise ApiError(
-                404, f"no such domain: {body_domain}", "unknown_domain"
-            )
+            raise ApiError(404, f"no such domain: {body_domain}", "unknown_domain")
         if path_domain is not None:
             if body_domain is not None and body_domain != path_domain:
                 raise ApiError(
@@ -831,9 +825,7 @@ class NliHttpServer:
             if sid is not None:
                 payload["session"] = sid
             return 429, payload, _payload_retry_headers(limited)
-        responses = await self.backend.ask_many(
-            domain, questions, sid, clarify, client
-        )
+        responses = await self.backend.ask_many(domain, questions, sid, clarify, client)
         payload = {"responses": responses}
         if sid is not None:
             payload["session"] = sid

@@ -224,9 +224,7 @@ class StorageManager:
         # empty directory (first boot durably captures the seed).
         self.checkpoint()
 
-        report = replace(
-            report, duration_ms=(time.perf_counter() - start) * 1000.0
-        )
+        report = replace(report, duration_ms=(time.perf_counter() - start) * 1000.0)
         self.last_recovery = report
         return report
 
@@ -287,9 +285,7 @@ class StorageManager:
                 snapshot = self.database.snapshot()
                 seq = self._seq + 1
                 old_wal = self._wal
-                self._wal = WriteAheadLog(
-                    self._wal_path(seq), seq, fsync=self._fsync
-                )
+                self._wal = WriteAheadLog(self._wal_path(seq), seq, fsync=self._fsync)
                 self._seq = seq
                 self._records_since_checkpoint = 0
         if old_wal is not None:
