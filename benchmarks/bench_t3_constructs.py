@@ -1,10 +1,8 @@
-"""T3 (Table 3) — accuracy by linguistic/SQL construct, plus the A4
-join-inference ablation (Steiner tree vs pairwise shortest paths)."""
+"""T3 (Table 3) — accuracy by linguistic/SQL construct."""
 
 from __future__ import annotations
 
-from repro.core.config import NliConfig
-from repro.evalkit import evaluate_nli, format_table, pct, per_feature_accuracy
+from repro.evalkit import format_table, per_feature_accuracy
 from repro.evaluation.goldsets import load_goldset
 
 from benchmarks.conftest import emit
@@ -29,18 +27,6 @@ def _construct_rows(bundles):
     return rows
 
 
-def _ablation_rows(bundles):
-    rows = []
-    for mode in ("steiner", "pairwise"):
-        config = NliConfig(join_inference=mode)
-        accs = [
-            pct(evaluate_nli(b, load_goldset(b.name), config).stages.accuracy)
-            for b in bundles
-        ]
-        rows.append([mode, *accs])
-    return rows
-
-
 def test_t3_constructs(benchmark, all_bundles):
     rows = benchmark.pedantic(
         _construct_rows, args=(all_bundles,), rounds=1, iterations=1
@@ -51,15 +37,3 @@ def test_t3_constructs(benchmark, all_bundles):
         title="T3: accuracy by construct (correct/total)",
     ))
 
-
-def test_t3_join_ablation(benchmark, all_bundles):
-    rows = benchmark.pedantic(
-        _ablation_rows, args=(all_bundles,), rounds=1, iterations=1
-    )
-    names = [b.name for b in all_bundles]
-    emit("T3-A4", format_table(
-        ["join inference", *names], rows,
-        title="T3/A4 ablation: Steiner-tree vs pairwise join inference",
-    ))
-    # On snowflake/star schemas both connect the same terminals.
-    assert rows[0][1:] == rows[1][1:]

@@ -2,15 +2,13 @@
 
 Reports interpretations per question (mean/max), how often several
 readings survive, top-1 correctness on a deliberately ambiguous set (the
-``ambiguous`` records of the fleet gold file), and the A3 ablation
-(value index off: bare values become unparseable).
+``ambiguous`` records of the fleet gold file).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.config import NliConfig
 from repro.core.pipeline import NaturalLanguageInterface
 from repro.evalkit import answers_match, format_table
 from repro.evaluation.goldsets import load_goldset
@@ -49,22 +47,6 @@ def _ambiguity_stats(bundle, items):
     return counts, top1, multi
 
 
-def _value_index_ablation(bundle, items):
-    """A3: without the value index, value-dependent questions die."""
-    outcomes = []
-    for use_index in (True, False):
-        nli = NaturalLanguageInterface(
-            bundle.database, domain=bundle.model,
-            config=NliConfig(use_value_index=use_index),
-        )
-        answered = 0
-        for item in items:
-            if nli.ask(item.question).ok:
-                answered += 1
-        outcomes.append(answered)
-    return outcomes
-
-
 def test_t5_ambiguity(benchmark, fleet_bundle, ambiguous_fleet):
     counts, top1, multi = benchmark.pedantic(
         _ambiguity_stats, args=(fleet_bundle, ambiguous_fleet),
@@ -85,19 +67,3 @@ def test_t5_ambiguity(benchmark, fleet_bundle, ambiguous_fleet):
     assert top1 >= n - 1  # ranking resolves (nearly) all of these
     assert multi >= 2  # the set IS ambiguous
 
-
-def test_t5_value_index_ablation(benchmark, fleet_bundle, ambiguous_fleet):
-    with_index, without_index = benchmark.pedantic(
-        _value_index_ablation, args=(fleet_bundle, ambiguous_fleet),
-        rounds=1, iterations=1,
-    )
-    n = len(ambiguous_fleet)
-    rows = [
-        ["value index ON", f"{with_index}/{n}"],
-        ["value index OFF", f"{without_index}/{n}"],
-    ]
-    emit("T5-A3", format_table(
-        ["configuration", "questions answered"], rows,
-        title="T5/A3 ablation: value index on/off",
-    ))
-    assert with_index > without_index

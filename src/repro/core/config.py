@@ -1,4 +1,4 @@
-"""Pipeline configuration (all the ablation knobs in one place)."""
+"""Pipeline configuration: the settings a caller chooses."""
 
 from __future__ import annotations
 
@@ -7,63 +7,24 @@ from dataclasses import dataclass
 
 @dataclass
 class NliConfig:
-    """Knobs for the NL pipeline.
+    """Settings for the NL pipeline and the service around it.
 
-    The first four fields are the ablation knobs; the configurations in
-    ``docs/evaluation.md`` ("Configurations") name the ones the accuracy
-    matrix runs (``nli-corrupt-nospell`` is A1 as a standing row):
-
-    * ``spelling_correction`` — A1 (figure F3)
-    * ``synonym_fraction`` — A2 (figure F2)
-    * ``use_value_index`` — A3
-    * ``join_inference`` — A4 ("steiner" or "pairwise")
+    The accuracy matrix's configurations (``docs/evaluation.md``), the
+    ``repro`` CLI flags and the benchmarks choose these.  Cache
+    capacities and the bulk-load threshold are constants in
+    :mod:`repro.core.pipeline`.
     """
 
+    #: Spelling correction of unknown words; off only in the matrix's
+    #: ``nli-corrupt-nospell`` row (ablation A1).
     spelling_correction: bool = True
-    synonym_fraction: float = 1.0
-    use_value_index: bool = True
-    join_inference: str = "steiner"  # steiner | pairwise
-    max_parses: int = 24
+    #: Readings kept per question: the best one answers, the rest are the
+    #: alternatives and clarification choices.
     max_interpretations: int = 8
-    max_values_per_column: int | None = None
     #: When more than one interpretation remains and the best two scores are
     #: within this margin, the interface reports ambiguity instead of
     #: silently picking one.
     clarification_margin: float = 0.0
-    #: Maximum rows echoed in Answer.paraphrase result summaries.
-    answer_rows: int = 25
-
-    # -- cache sizing / refresh knobs ---------------------------------------
-    #: Capacity of the prepared-question LRU: two entries per question
-    #: string, its normalize result and its parse, the parse carrying the
-    #: answer's back half (interpretations, generated SQL, paraphrase,
-    #: alternatives) once answered, so the default holds 128 questions.
-    #: A write drops only the entries whose words (or stems) meet a value
-    #: that entered or left the database, plus the fuzzy-corrected ones
-    #: when a word weight moved; a lexicon or full rebuild drops all.
-    #: Sized for an interactive session's working set; raise it for batch
-    #: evaluation over large question corpora.
-    prepared_cache_size: int = 256
-    #: Time-to-live (seconds) for prepared-question entries; ``None`` (the
-    #: default) keeps entries until LRU pressure evicts them.  A service
-    #: with a long-tail question stream sets this so one-off questions age
-    #: out instead of squatting in the LRU; expirations are counted in
-    #: ``nli.stats["prepared_ttl_evictions"]``.
-    prepared_cache_ttl_s: float | None = None
-    #: Capacity of the engine's statement-plan cache (AST + optimized plan
-    #: with its batch kernels + materialized result per statement text).
-    #: Entries are stamped with per-table versions, so a write to one table
-    #: leaves entries for other tables valid — the cache only needs to hold
-    #: the distinct statement texts of the workload.
-    plan_cache_size: int = 256
-    #: Per-entry row bound for the plan cache's materialized-result layer;
-    #: larger results are executed but not cached, so a handful of
-    #: ``SELECT *`` statements cannot pin copies of the database in memory.
-    max_cached_result_rows: int = 10_000
-    #: When this many row-level deltas pile up before the next question, a
-    #: full language-layer rebuild is cheaper than replaying them one by
-    #: one (bulk loads); below it, the value index updates incrementally.
-    max_pending_deltas: int = 10_000
 
     # -- service / server knobs ---------------------------------------------
     #: Sustained questions-per-second allowed per rate-limit key (a session

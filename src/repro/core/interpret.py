@@ -20,7 +20,7 @@ from repro.logical.forms import (
     MembershipCondition,
 )
 from repro.schemagraph.graph import SchemaGraph
-from repro.schemagraph.steiner import pairwise_join_paths, steiner_join_tree
+from repro.schemagraph.steiner import steiner_join_tree
 from repro.sqlengine.database import Database
 
 
@@ -75,12 +75,10 @@ class Interpreter:
         database: Database,
         graph: SchemaGraph,
         domain: DomainModel | None = None,
-        join_inference: str = "steiner",
     ) -> None:
         self.database = database
         self.graph = graph
         self.domain = domain
-        self.join_inference = join_inference
 
     # -- public ---------------------------------------------------------------
 
@@ -196,10 +194,7 @@ class Interpreter:
     # -- joins & scoring ---------------------------------------------------------
 
     def join_tree(self, query: LogicalQuery):
-        terminals = query.condition_tables()
-        if self.join_inference == "pairwise":
-            return pairwise_join_paths(self.graph, terminals)
-        return steiner_join_tree(self.graph, terminals)
+        return steiner_join_tree(self.graph, query.condition_tables())
 
     def score(self, query: LogicalQuery) -> Interpretation:
         """Scoring follows the era's heuristics: prefer compact join trees,

@@ -71,6 +71,23 @@ from repro.valueindex.index import IndexChange, ValueIndex
 #: the two can never drift apart).
 CLARIFICATION_CAPACITY = 64
 
+#: Earley parses kept per question; the parser's cut keeps the first ones.
+MAX_PARSES = 24
+
+#: Capacity of the prepared-question LRU: two entries per question string,
+#: its normalize result and its parse, the parse carrying the answer's back
+#: half once answered, so it holds 128 questions.  A write drops only the
+#: entries whose words (or stems) meet a value that entered or left the
+#: database, plus the fuzzy-corrected ones when a word weight moved; a
+#: lexicon or full rebuild drops all.  The ``hot-repeat`` benchmark
+#: workload is sized against this value.
+PREPARED_CACHE_SIZE = 256
+
+#: When more than this many row-level deltas pile up before the next
+#: question, a full language-layer rebuild is cheaper than replaying them
+#: one by one (bulk loads); below it, the value index updates incrementally.
+MAX_PENDING_DELTAS = 10_000
+
 
 @dataclass(frozen=True)
 class LanguageLayers:
@@ -89,7 +106,7 @@ class LanguageLayers:
     epoch: int
     graph: SchemaGraph
     lexicon: Any
-    value_index: ValueIndex | None
+    value_index: ValueIndex
     interpreter: Interpreter
     sqlgen: SqlGenerator
 
@@ -211,11 +228,7 @@ class NaturalLanguageInterface:
         self.database = database
         self.domain = domain
         self.config = config or NliConfig()
-        self.engine = Engine(
-            database,
-            plan_cache_size=self.config.plan_cache_size,
-            max_cached_result_rows=self.config.max_cached_result_rows,
-        )
+        self.engine = Engine(database)
         self.grammar = build_english_grammar()
         self.parser = EarleyParser(self.grammar)
         self._literal_words = grammar_literal_words(self.grammar)
@@ -224,12 +237,8 @@ class NaturalLanguageInterface:
         #: results, the parse entry carrying the answer's back half once
         #: answered (see :class:`_Prepared`).  A delta refresh evicts only
         #: the entries whose :class:`_Stamp` meets what the delta changed
-        #: in the value index; a lexicon or full rebuild clears it.  The
-        #: optional TTL ages out one-off questions in long-running services.
-        self._prepared: LruCache = LruCache(
-            capacity=self.config.prepared_cache_size,
-            ttl_s=self.config.prepared_cache_ttl_s,
-        )
+        #: in the value index; a lexicon or full rebuild clears it.
+        self._prepared: LruCache = LruCache(PREPARED_CACHE_SIZE)
         #: (table, column) pairs whose live data feeds lexicon entries;
         #: deltas touching them force a lexicon rebuild (still cheap —
         #: O(schema + domain), not O(rows)).
@@ -270,27 +279,15 @@ class NaturalLanguageInterface:
         a single atomic reference swap, never a field-by-field mutation.
         """
         graph = SchemaGraph(self.database)
-        lexicon = build_lexicon(
-            self.database, self.domain, synonym_fraction=self.config.synonym_fraction
-        )
-        value_index = (
-            ValueIndex(self.database, self.config.max_values_per_column)
-            if self.config.use_value_index
-            else None
-        )
         previous: LanguageLayers | None = getattr(self, "_layers", None)
         self._publish(
             LanguageLayers(
                 epoch=previous.epoch + 1 if previous is not None else 0,
                 graph=graph,
-                lexicon=lexicon,
-                value_index=value_index,
-                interpreter=Interpreter(
-                    self.database, graph, self.domain, self.config.join_inference
-                ),
-                sqlgen=SqlGenerator(
-                    self.database, graph, self.domain, self.config.join_inference
-                ),
+                lexicon=build_lexicon(self.database, self.domain),
+                value_index=ValueIndex(self.database),
+                interpreter=Interpreter(self.database, graph, self.domain),
+                sqlgen=SqlGenerator(self.database, graph, self.domain),
             ),
             None,
         )
@@ -355,7 +352,7 @@ class NaturalLanguageInterface:
         return self._layers.lexicon
 
     @property
-    def value_index(self) -> ValueIndex | None:
+    def value_index(self) -> ValueIndex:
         return self._layers.value_index
 
     @property
@@ -380,7 +377,7 @@ class NaturalLanguageInterface:
         only rebuilt when a delta touches a column that feeds data-derived
         entries (categorical entity nouns).  A full rebuild happens on
         catalog DDL (create/drop table), when deltas piled up past
-        ``config.max_pending_deltas`` (bulk load), or on ``full=True``.
+        :data:`MAX_PENDING_DELTAS` (bulk load), or on ``full=True``.
 
         The new layer bundle is published inside the database's statement
         scope, so :meth:`_pin` can never capture a snapshot/layers pair
@@ -393,7 +390,7 @@ class NaturalLanguageInterface:
         if (
             full
             or self.database.catalog_version != self._catalog_version
-            or len(self._pending_deltas) > self.config.max_pending_deltas
+            or len(self._pending_deltas) > MAX_PENDING_DELTAS
         ):
             self._build_language_layers()
             return
@@ -414,22 +411,16 @@ class NaturalLanguageInterface:
                 for delta in deltas
                 for column, _ in delta.added + delta.removed
             )
-        value_index = layers.value_index
+        # Patch an O(1) clone so concurrent readers pinned to the old
+        # bundle never see a half-applied delta; the patches share all
+        # untouched structure with it.
+        value_index = layers.value_index.clone()
         change = IndexChange()
-        if value_index is not None:
-            # Patch an O(1) clone so concurrent readers pinned to the old
-            # bundle never see a half-applied delta; the patches share all
-            # untouched structure with it.
-            value_index = value_index.clone()
-            for delta in deltas:
-                change |= value_index.apply_delta(delta)
+        for delta in deltas:
+            change |= value_index.apply_delta(delta)
         lexicon = layers.lexicon
         if rebuild_lexicon:
-            lexicon = build_lexicon(
-                self.database,
-                self.domain,
-                synonym_fraction=self.config.synonym_fraction,
-            )
+            lexicon = build_lexicon(self.database, self.domain)
         # A new lexicon may tag or correct any word differently: clear.
         self._publish(
             replace(
@@ -461,7 +452,7 @@ class NaturalLanguageInterface:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Refresh/ask accounting plus prepared-cache hit/miss/TTL counters.
+        """Refresh/ask accounting plus prepared-cache hit/miss counters.
 
         ``prepared_invalidated`` counts the entries refreshes dropped (a
         clear counts every entry it drops); a lookup turned down because
@@ -472,7 +463,6 @@ class NaturalLanguageInterface:
         prepared = self._prepared.stats
         out["prepared_hits"] = prepared["hits"]
         out["prepared_misses"] = prepared["misses"]
-        out["prepared_ttl_evictions"] = prepared["ttl_evictions"]
         return out
 
     # -- pipeline stages (public for tests/diagnostics) -------------------------
@@ -488,11 +478,7 @@ class NaturalLanguageInterface:
         word = token.text
         if token.is_number or word in self._protected:
             return True
-        if layers.lexicon.knows_word(word):
-            return True
-        return layers.value_index is not None and layers.value_index.contains_word(
-            word
-        )
+        return layers.lexicon.knows_word(word) or layers.value_index.contains_word(word)
 
     def normalize(
         self, question: str, layers: LanguageLayers | None = None
@@ -519,7 +505,7 @@ class NaturalLanguageInterface:
                 if self._word_is_known(token, layers):
                     continue
                 corrected = layers.lexicon.correct_word(word)
-                if corrected is None and layers.value_index is not None:
+                if corrected is None:
                     fuzzy = True
                     corrected = layers.value_index.fuzzy_word(word)
                 if corrected is not None and corrected != word:
@@ -573,12 +559,7 @@ class NaturalLanguageInterface:
         # Without dialogue state the parse is a pure function of the
         # question (given fresh language layers), so it can be reused.
         cacheable = pronoun_entity is None
-        parse_key = (
-            "parse",
-            cache_key,
-            self.config.spelling_correction,
-            self.config.max_parses,
-        )
+        parse_key = ("parse", cache_key, self.config.spelling_correction)
         if cacheable:
             cached = self._lookup(parse_key, layers)
             if cached is not None:
@@ -586,7 +567,7 @@ class NaturalLanguageInterface:
         tagger = self.tag(tokens, layers)
         matcher = _SessionTagger(tagger, pronoun_entity)
         words = [t.text for t in tokens]
-        results = self.parser.parse(words, matcher, max_parses=self.config.max_parses)
+        results = self.parser.parse(words, matcher, max_parses=MAX_PARSES)
         prepared = _Prepared(
             tuple(r.value for r in results if isinstance(r.value, Sketch)),
             normalized.stamp,
@@ -754,6 +735,10 @@ class NaturalLanguageInterface:
         finally:
             snapshot.close()
             self.auto_refresh = previous
+
+    def has_clarification(self, clarification_id: str) -> bool:
+        """True while ``clarification_id`` is parked and resolvable."""
+        return self._clarifications.get(clarification_id) is not None
 
     def resolve(self, clarification_id: str, choice_index: int) -> Response:
         """Execute one choice of an AMBIGUOUS response, without re-parsing.
@@ -989,10 +974,9 @@ class NaturalLanguageInterface:
             corrected = layers.lexicon.correct_word(word)
             if corrected and corrected != word:
                 suggestions.append(corrected)
-            if layers.value_index is not None:
-                fuzzy = layers.value_index.fuzzy_word(word)
-                if fuzzy and fuzzy != word and fuzzy not in suggestions:
-                    suggestions.append(fuzzy)
+            fuzzy = layers.value_index.fuzzy_word(word)
+            if fuzzy and fuzzy != word and fuzzy not in suggestions:
+                suggestions.append(fuzzy)
             out.append(
                 Diagnostic(
                     UNKNOWN_WORD,

@@ -22,7 +22,7 @@ from repro.logical.forms import (
     ValueCondition,
 )
 from repro.schemagraph.graph import JoinEdge, SchemaGraph
-from repro.schemagraph.steiner import pairwise_join_paths, steiner_join_tree
+from repro.schemagraph.steiner import steiner_join_tree
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.database import Database
 
@@ -35,12 +35,10 @@ class SqlGenerator:
         database: Database,
         graph: SchemaGraph,
         domain: DomainModel | None = None,
-        join_inference: str = "steiner",
     ) -> None:
         self.database = database
         self.graph = graph
         self.domain = domain
-        self.join_inference = join_inference
 
     # -- public --------------------------------------------------------------
 
@@ -75,10 +73,7 @@ class SqlGenerator:
     # -- FROM / joins -----------------------------------------------------------
 
     def _join_edges(self, query: LogicalQuery) -> list[JoinEdge]:
-        terminals = query.condition_tables()
-        if self.join_inference == "pairwise":
-            return pairwise_join_paths(self.graph, terminals)
-        return steiner_join_tree(self.graph, terminals)
+        return steiner_join_tree(self.graph, query.condition_tables())
 
     def _from_clause(
         self, query: LogicalQuery

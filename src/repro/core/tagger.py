@@ -25,7 +25,7 @@ class QuestionTagger:
         self,
         tokens: list[Token],
         lexicon: Lexicon,
-        value_index: ValueIndex | None,
+        value_index: ValueIndex,
         protected_words: frozenset[str],
     ) -> None:
         self.tokens = tokens
@@ -43,23 +43,22 @@ class QuestionTagger:
                     )
                 )
             # 2. value index (raw lower-cased words)
-            if value_index is not None:
-                for length, hit in value_index.lookup_prefix(words[i:]):
-                    if length == 1 and words[i] in protected_words:
-                        continue  # "in", "the" … may occur inside values but
-                        # never *are* values on their own
-                    ref = ValueRef(
-                        hit.table,
-                        hit.column,
-                        hit.value,
-                        phrase=" ".join(words[i : i + length]),
-                        approx=not hit.exact,
+            for length, hit in value_index.lookup_prefix(words[i:]):
+                if length == 1 and words[i] in protected_words:
+                    continue  # "in", "the" … may occur inside values but
+                    # never *are* values on their own
+                ref = ValueRef(
+                    hit.table,
+                    hit.column,
+                    hit.value,
+                    phrase=" ".join(words[i : i + length]),
+                    approx=not hit.exact,
+                )
+                matches.append(
+                    TerminalMatch(
+                        "VALUE", i, i + length, ref, 1.0 if hit.exact else 0.7
                     )
-                    matches.append(
-                        TerminalMatch(
-                            "VALUE", i, i + length, ref, 1.0 if hit.exact else 0.7
-                        )
-                    )
+                )
             # 3. numbers ("3", "three thousand", "3rd")
             parsed = parse_number_words(words[i:])
             if parsed is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
-from repro.core.config import NliConfig
 from repro.core.dialogue import Session
 from repro.core.pipeline import NaturalLanguageInterface
 from repro.datasets import DomainBundle
@@ -54,13 +53,9 @@ class EvalResult:
         return self.stages.accuracy
 
 
-def evaluate_nli(
-    bundle: DomainBundle,
-    items: list[GoldItem],
-    config: NliConfig | None = None,
-) -> EvalResult:
+def evaluate_nli(bundle: DomainBundle, items: list[GoldItem]) -> EvalResult:
     """Run the full pipeline over gold items with stage accounting."""
-    nli = NaturalLanguageInterface(bundle.database, domain=bundle.model, config=config)
+    nli = NaturalLanguageInterface(bundle.database, domain=bundle.model)
     gold_engine = Engine(bundle.database)
     result = EvalResult("nli", bundle.name)
     for item in items:
@@ -96,12 +91,10 @@ class DialogueEval:
 
 
 def evaluate_dialogues(
-    bundle: DomainBundle,
-    scripts: list[list[GoldItem]],
-    config: NliConfig | None = None,
+    bundle: DomainBundle, scripts: list[list[GoldItem]]
 ) -> DialogueEval:
     """Run scripted sessions; follow-ups are scored separately (T4)."""
-    nli = NaturalLanguageInterface(bundle.database, domain=bundle.model, config=config)
+    nli = NaturalLanguageInterface(bundle.database, domain=bundle.model)
     gold_engine = Engine(bundle.database)
     outcome = DialogueEval()
     for session_script in scripts:
@@ -118,10 +111,10 @@ def evaluate_dialogues(
 
 
 def per_feature_accuracy(
-    bundle: DomainBundle, items: list[GoldItem], config: NliConfig | None = None
+    bundle: DomainBundle, items: list[GoldItem]
 ) -> dict[str, Tally]:
     """Accuracy partitioned by construct tag (drives Table 3)."""
-    nli = NaturalLanguageInterface(bundle.database, domain=bundle.model, config=config)
+    nli = NaturalLanguageInterface(bundle.database, domain=bundle.model)
     gold_engine = Engine(bundle.database)
     buckets: dict[str, Tally] = {}
     for item in items:

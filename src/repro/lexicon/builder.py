@@ -5,33 +5,16 @@ database itself:
 
 * every table name becomes an ENTITY phrase;
 * every column name (underscores split) becomes an ATTR phrase;
-* domain-model phrases add the human vocabulary on top;
-* ``synonym_fraction`` throttles how much of the hand-curated synonym
-  dictionary is used — the knob experiment F2 sweeps.
+* domain-model phrases add the human vocabulary on top.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.lexicon.domain import DomainModel
 from repro.lexicon.entries import CategoricalEntity, Category
 from repro.lexicon.lexicon import Lexicon
 from repro.logical.forms import AttrRef, EntityRef, ValueCondition, ValueRef
 from repro.sqlengine.database import Database
-
-
-def _take_fraction(phrases: tuple[str, ...], fraction: float) -> tuple[str, ...]:
-    """First ceil(fraction * n) phrases — deterministic for the F2 sweep.
-
-    The first phrase of a spec is its canonical name and survives even at
-    fraction 0 for entities/attributes defined by the schema itself; the
-    *extra* synonyms are what the fraction controls.
-    """
-    if fraction >= 1.0:
-        return phrases
-    keep = math.ceil(len(phrases) * fraction)
-    return phrases[:keep]
 
 
 def data_dependent_columns(domain: DomainModel | None) -> set[tuple[str, str]]:
@@ -53,17 +36,9 @@ def data_dependent_columns(domain: DomainModel | None) -> set[tuple[str, str]]:
     }
 
 
-def build_lexicon(
-    database: Database,
-    domain: DomainModel | None = None,
-    synonym_fraction: float = 1.0,
-) -> Lexicon:
-    """Build the lexicon for ``database``.
-
-    ``synonym_fraction`` in [0, 1] controls how much of the domain model's
-    synonym vocabulary is loaded (1.0 = everything; 0.0 = catalog-derived
-    names only).  Catalog-derived entries always load.
-    """
+def build_lexicon(database: Database, domain: DomainModel | None = None) -> Lexicon:
+    """Build the lexicon for ``database``: catalog names, then the domain
+    model's vocabulary when there is one."""
     lexicon = Lexicon()
 
     # 1. Catalog-derived entries (always present).
@@ -81,32 +56,33 @@ def build_lexicon(
 
     # 2. Entity synonyms.
     for spec in domain.entities:
-        for i, phrase in enumerate(_take_fraction(spec.phrases, synonym_fraction)):
+        for i, phrase in enumerate(spec.phrases):
             ref = EntityRef(spec.table, phrase=phrase)
             lexicon.add(phrase, Category.ENTITY, ref, weight=2.0 if i == 0 else 1.5)
 
     # 3. Attribute synonyms and units.
     for spec in domain.attributes:
-        ref = AttrRef(spec.table, spec.column, phrase=spec.phrases[0] if spec.phrases else spec.column)
-        for phrase in _take_fraction(spec.phrases, synonym_fraction):
+        name = spec.phrases[0] if spec.phrases else spec.column
+        ref = AttrRef(spec.table, spec.column, phrase=name)
+        for phrase in spec.phrases:
             lexicon.add(phrase, Category.ATTR, ref, weight=2.0)
-        for unit in _take_fraction(spec.units, synonym_fraction):
+        for unit in spec.units:
             lexicon.add(unit, Category.UNIT, ref, weight=1.0)
 
     # 4. Adjectives (superlatives / comparatives).
     for spec in domain.adjectives:
         ref = AttrRef(spec.table, spec.column, phrase=spec.column.replace("_", " "))
-        for word in _take_fraction(spec.superlative_max, synonym_fraction):
+        for word in spec.superlative_max:
             lexicon.add(word, Category.SUPER, (ref, "max"), weight=1.5)
-        for word in _take_fraction(spec.superlative_min, synonym_fraction):
+        for word in spec.superlative_min:
             lexicon.add(word, Category.SUPER, (ref, "min"), weight=1.5)
-        for word in _take_fraction(spec.comparative_more, synonym_fraction):
+        for word in spec.comparative_more:
             lexicon.add(word, Category.COMP, (ref, ">"), weight=1.5)
-        for word in _take_fraction(spec.comparative_less, synonym_fraction):
+        for word in spec.comparative_less:
             lexicon.add(word, Category.COMP, (ref, "<"), weight=1.5)
 
     # 5. Value synonyms ("us" -> country.name = 'usa').
-    for spec in _take_fraction(tuple(domain.value_synonyms), synonym_fraction):
+    for spec in domain.value_synonyms:
         ref = ValueRef(spec.table, spec.column, spec.value, phrase=spec.phrase)
         lexicon.add(spec.phrase, Category.VALUE, ref, weight=1.5)
 
@@ -127,14 +103,16 @@ def build_lexicon(
                 ),
             )
             lexicon.add(value, Category.ENTITY, payload, weight=1.8)
-        for synonym in _take_fraction(tuple(domain.value_synonyms), synonym_fraction):
+        for synonym in domain.value_synonyms:
             if (synonym.table, synonym.column) != (spec.via_table, spec.via_column):
                 continue
             payload = CategoricalEntity(
                 EntityRef(spec.table, phrase=synonym.phrase),
                 ValueCondition(
                     ValueRef(
-                        synonym.table, synonym.column, synonym.value,
+                        synonym.table,
+                        synonym.column,
+                        synonym.value,
                         phrase=synonym.phrase,
                     )
                 ),

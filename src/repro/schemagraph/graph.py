@@ -24,13 +24,13 @@ class JoinEdge:
     to_column: str
 
     def reversed(self) -> "JoinEdge":
-        return JoinEdge(self.to_table, self.to_column, self.from_table, self.from_column)
+        return JoinEdge(
+            self.to_table, self.to_column, self.from_table, self.from_column
+        )
 
     def describe(self) -> str:
-        return (
-            f"{self.from_table}.{self.from_column} = "
-            f"{self.to_table}.{self.to_column}"
-        )
+        left = f"{self.from_table}.{self.from_column}"
+        return f"{left} = {self.to_table}.{self.to_column}"
 
 
 class SchemaGraph:
@@ -81,12 +81,12 @@ class SchemaGraph:
                 if nxt == target:
                     return self._rebuild(parents, source, target)
                 queue.append(nxt)
-        raise InterpretationError(
-            f"no join path between {source!r} and {target!r}"
-        )
+        raise InterpretationError(f"no join path between {source!r} and {target!r}")
 
     @staticmethod
-    def _rebuild(parents: dict[str, JoinEdge], source: str, target: str) -> list[JoinEdge]:
+    def _rebuild(
+        parents: dict[str, JoinEdge], source: str, target: str
+    ) -> list[JoinEdge]:
         path: list[JoinEdge] = []
         node = target
         while node != source:

@@ -51,8 +51,10 @@ def steiner_join_tree(graph: SchemaGraph, terminals: set[str]) -> list[JoinEdge]
                 raise InterpretationError(
                     f"table {terminal!r} cannot be joined with {sorted(in_tree)}"
                 )
-            if best is None or candidate[0] < best[0] or (
-                candidate[0] == best[0] and terminal < best[1]
+            if (
+                best is None
+                or candidate[0] < best[0]
+                or (candidate[0] == best[0] and terminal < best[1])
             ):
                 best = (candidate[0], terminal, candidate[1])
         assert best is not None
@@ -66,26 +68,6 @@ def steiner_join_tree(graph: SchemaGraph, terminals: set[str]) -> list[JoinEdge]
             in_tree.add(edge.to_table)
         in_tree.add(chosen)
         remaining.remove(chosen)
-    return edges
-
-
-def pairwise_join_paths(graph: SchemaGraph, terminals: set[str]) -> list[JoinEdge]:
-    """Naive alternative (ablation A4): union of shortest paths from the
-    first terminal to each other terminal.  Usually produces the same tree
-    on clean snowflake schemas but can include redundant hops on cyclic
-    ones — the ablation benchmark quantifies the difference."""
-    ordered = sorted(terminals)
-    if len(ordered) <= 1:
-        return []
-    root = ordered[0]
-    edges: list[JoinEdge] = []
-    seen: set[tuple[str, str, str, str]] = set()
-    for terminal in ordered[1:]:
-        for edge in graph.shortest_path(root, terminal):
-            key = _edge_key(edge)
-            if key not in seen:
-                seen.add(key)
-                edges.append(edge)
     return edges
 
 

@@ -464,7 +464,7 @@ class NliService:
             # picks again), but an id the pipeline no longer knows — LRU
             # eviction, a consumed entry — is dead: drop our bookkeeping
             # for it too, or abandoned ids would pin parks/aliases forever.
-            if self._nli._clarifications.get(live_id) is None:
+            if not self._nli.has_clarification(live_id):
                 with self._sessions_lock:
                     self._clar_aliases.pop(clarification_id, None)
                     self._parked.pop(live_id, None)
@@ -481,7 +481,7 @@ class NliService:
         "bad choice index on a live clarification"."""
         with self._sessions_lock:
             live_id = self._clar_aliases.get(clarification_id, clarification_id)
-        return self._nli._clarifications.get(live_id) is not None
+        return self._nli.has_clarification(live_id)
 
     def explain(self, question: str, session: Session | str | None = None) -> str:
         resolved = self._as_session(session)

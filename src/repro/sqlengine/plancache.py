@@ -22,7 +22,6 @@ table cannot echo an old stamp either.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Mapping
 
@@ -44,16 +43,12 @@ def _stamps_current(
 
 
 class LruCache:
-    """Thread-safe LRU mapping with optional per-entry TTL and tags.
+    """Thread-safe LRU mapping with per-entry tags.
 
     Also used by the NLI prepared-question cache and the clarification
     registry, both of which are hit by concurrent ``NliService.ask()``
     readers — every public method holds an internal lock, because
     ``OrderedDict`` reordering is not safe under free-threaded access.
-
-    ``ttl_s`` bounds an entry's age: a ``get``/``__contains__`` that finds
-    an entry older than the TTL treats it as a miss and evicts it
-    (counted in ``stats["ttl_evictions"]``).  ``None`` disables aging.
 
     An entry may be stored with ``tags``; :meth:`evict_tagged` drops every
     entry carrying one of a set of tags.  ``lock`` is public so an owner
@@ -63,31 +58,18 @@ class LruCache:
     called holding it.
     """
 
-    def __init__(
-        self,
-        capacity: int = 128,
-        ttl_s: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError("cache TTL must be positive (or None)")
         self.capacity = capacity
-        self.ttl_s = ttl_s
-        self._clock = clock
         self.lock = threading.RLock()
-        #: key -> (value, stored_at); stored_at is 0.0 when no TTL is set.
-        self._data: OrderedDict[Hashable, tuple[Any, float]] = OrderedDict()
+        self._data: OrderedDict[Hashable, Any] = OrderedDict()
         #: key -> its tags, for tagged entries only.
         self._tags: dict[Hashable, frozenset] = {}
-        self.stats = {"hits": 0, "misses": 0, "ttl_evictions": 0}
+        self.stats = {"hits": 0, "misses": 0}
 
-    def _expired(self, stored_at: float) -> bool:
-        return self.ttl_s is not None and self._clock() - stored_at > self.ttl_s
-
-    def _remove(self, key: Hashable) -> tuple[Any, float]:
-        """Delete ``key``'s entry and its tags; returns the entry."""
+    def _remove(self, key: Hashable) -> Any:
+        """Delete ``key``'s entry and its tags; returns the value."""
         self._tags.pop(key, None)
         return self._data.pop(key)
 
@@ -104,13 +86,8 @@ class LruCache:
         """
         with self.lock:
             try:
-                value, stored_at = self._data[key]
+                value = self._data[key]
             except KeyError:
-                self.stats["misses"] += 1
-                return default
-            if self._expired(stored_at):
-                self._remove(key)
-                self.stats["ttl_evictions"] += 1
                 self.stats["misses"] += 1
                 return default
             if accept is not None and not accept(value):
@@ -124,8 +101,7 @@ class LruCache:
         with self.lock:
             if key in self._data:
                 self._remove(key)
-            stored_at = self._clock() if self.ttl_s is not None else 0.0
-            self._data[key] = (value, stored_at)
+            self._data[key] = value
             if tags:
                 self._tags[key] = tags
             while len(self._data) > self.capacity:
@@ -154,26 +130,14 @@ class LruCache:
             return len(doomed)
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
-        """Remove and return an entry (honouring TTL), or ``default``."""
+        """Remove and return an entry, or ``default``."""
         with self.lock:
-            if key not in self._data:
-                return default
-            value, stored_at = self._remove(key)
-            if self._expired(stored_at):
-                self.stats["ttl_evictions"] += 1
-                return default
-            return value
+            self._tags.pop(key, None)
+            return self._data.pop(key, default)
 
     def __contains__(self, key: Hashable) -> bool:
         with self.lock:
-            entry = self._data.get(key)
-            if entry is None:
-                return False
-            if self._expired(entry[1]):
-                self._remove(key)
-                self.stats["ttl_evictions"] += 1
-                return False
-            return True
+            return key in self._data
 
     def __len__(self) -> int:
         with self.lock:

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.core import NaturalLanguageInterface, Session
-from repro.core.pipeline import _SessionTagger
+from repro.core.pipeline import MAX_PARSES, _SessionTagger
 from repro.datasets import ALL_DOMAINS, fleet, load_bundle
 from repro.errors import ParseFailure
 from repro.evalkit.corruption import corrupt_word
@@ -63,8 +63,8 @@ def test_gold_questions_and_typos_parse_identically(domain):
             tokens, _ = nli.normalize(question)
             matcher = _SessionTagger(nli.tag(tokens), None)
             words = [token.text for token in tokens]
-            got = outcome(nli.parser, words, matcher, nli.config.max_parses)
-            if got != outcome(reference, words, matcher, nli.config.max_parses):
+            got = outcome(nli.parser, words, matcher, MAX_PARSES)
+            if got != outcome(reference, words, matcher, MAX_PARSES):
                 mismatches.append(question)
             failures += isinstance(got, tuple)
     assert mismatches == []

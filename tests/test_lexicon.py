@@ -138,18 +138,6 @@ class TestBuilder:
         assert categorical
         assert categorical[0].payload.entity.table == "ship"
 
-    def test_synonym_fraction_zero_keeps_catalog(self, fleet_db):
-        bare = build_lexicon(fleet_db, fleet.domain(), synonym_fraction=0.0)
-        assert bare.lookup(phrase_key("ship"))  # catalog name survives
-        assert not bare.lookup(phrase_key("vessel"))  # synonym dropped
-
-    def test_synonym_fraction_monotone(self, fleet_db):
-        sizes = [
-            len(build_lexicon(fleet_db, fleet.domain(), synonym_fraction=f))
-            for f in (0.0, 0.5, 1.0)
-        ]
-        assert sizes[0] < sizes[1] <= sizes[2]
-
     def test_category_counts(self, lexicon):
         counts = lexicon.category_counts()
         assert counts["ENTITY"] > 5

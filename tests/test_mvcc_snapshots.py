@@ -441,7 +441,7 @@ class TestLayerPublishing:
         database = fleet.build_database()
         nli = NaturalLanguageInterface(database, domain=fleet.domain())
         question = "how many ships are there"
-        key = ("parse", question, True, nli.config.max_parses)
+        key = ("parse", question, True)
         assert nli.ask(question).ok
         old = nli.layers
         assert nli._prepared.get(key).stamp.born == old.epoch

@@ -5,8 +5,13 @@ SQL on the same database) or a structural property of the chosen
 interpretation.
 """
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import NaturalLanguageInterface, NliConfig, Session
 from repro.datasets import fleet
 from repro.errors import NliError
@@ -314,23 +319,18 @@ class TestConfigKnobs:
         unknown = [d for d in response.diagnostics if d.code == "unknown_word"]
         assert unknown and "ships" in unknown[0].suggestions
 
-    def test_value_index_off(self, fleet_db):
-        nli = NaturalLanguageInterface(
-            fleet_db, domain=fleet.domain(),
-            config=NliConfig(use_value_index=False),
-        )
-        # schema-only questions still work
-        assert nli.ask("how many ships are there").answer.result.scalar() == 60
-        # value-dependent questions cannot resolve
-        assert nli.ask("ships from yokosuka").status is Status.FAILED
-
-    def test_pairwise_join_inference(self, fleet_db):
-        nli = NaturalLanguageInterface(
-            fleet_db, domain=fleet.domain(),
-            config=NliConfig(join_inference="pairwise"),
-        )
-        answer = nli.ask("carriers in the pacific fleet").answer
-        assert "JOIN" in answer.sql
+    def test_no_dead_knob(self):
+        # A field that no module reads is a setting that changes nothing.
+        root = Path(repro.__file__).parent
+        read = set()
+        for path in root.rglob("*.py"):
+            if path == root / "core" / "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+        fields = [field.name for field in dataclasses.fields(NliConfig)]
+        assert [name for name in fields if name not in read] == []
 
     def test_explain_trace(self, nli):
         trace = nli.explain("ships heavier than the enterprise")

@@ -307,14 +307,9 @@ class TestInterleavedAsk:
         nli.ask("how many ships are there")
         assert nli.stats["full_rebuilds"] == 2
 
-    def test_bulk_load_falls_back_to_full_rebuild(self):
-        from repro.core import NliConfig
-
-        nli = NaturalLanguageInterface(
-            fleet.build_database(),
-            domain=fleet.domain(),
-            config=NliConfig(max_pending_deltas=3),
-        )
+    def test_bulk_load_falls_back_to_full_rebuild(self, monkeypatch):
+        monkeypatch.setattr("repro.core.pipeline.MAX_PENDING_DELTAS", 3)
+        nli = NaturalLanguageInterface(fleet.build_database(), domain=fleet.domain())
         for i in range(5):
             nli.database.insert("port", (90 + i, f"Newport {i}", "usa"))
         nli.ask("how many ships are there")
