@@ -13,8 +13,9 @@ operator over batches:
   cannot raise; anything else compiles to a per-row closure;
 * hash joins compile their key and residual expressions to closures and
   run build/probe loops; an INNER join with no residual probes in one
-  comprehension over the selection; nested-loop joins run left-major,
-  right-minor, NULL-padding LEFT rows.
+  comprehension over the selection; a semi-join narrows its kept side's
+  selection by the other side's key set and builds no row; nested-loop
+  joins run left-major, right-minor, NULL-padding LEFT rows.
 
 :func:`compile_expr` is the engine's one implementation of SQL expression
 semantics: three-valued logic (Kleene AND/OR short-circuit, NULL
@@ -41,6 +42,7 @@ columns it can gather column by column.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple
@@ -57,6 +59,7 @@ from repro.sqlengine.planner import (
     PlanNode,
     ReorderNode,
     ScanNode,
+    SemiJoinNode,
 )
 from repro.sqlengine.types import SqlType, compare_values, is_numeric
 
@@ -283,6 +286,15 @@ def _arith(left: Any, right: Any, fn: Callable[[Any, Any], Any], op: str) -> Any
     return fn(left, right)
 
 
+def _mod(left: Any, right: Any) -> Any:
+    """SQL's ``%``: the remainder takes the dividend's sign (-7 % 3 is -1),
+    as in SQL's MOD, sqlite and PostgreSQL, not Python's floored one."""
+    if isinstance(left, int) and isinstance(right, int):
+        remainder = abs(left) % abs(right)
+        return -remainder if left < 0 else remainder
+    return math.fmod(left, right) or 0.0  # no -0.0
+
+
 def _compile_binary(expr: ast.BinaryOp, cx: _Context) -> RowFn:
     lf = _compile(expr.left, cx)
     rf = _compile(expr.right, cx)
@@ -347,7 +359,7 @@ def _compile_binary(expr: ast.BinaryOp, cx: _Context) -> RowFn:
         return sub_mul_fn
     if op in ("/", "%"):
         message = "division by zero" if op == "/" else "modulo by zero"
-        arith = (lambda a, b: a / b) if op == "/" else (lambda a, b: a % b)
+        arith = (lambda a, b: a / b) if op == "/" else _mod
 
         def div_mod_fn(row: tuple, arith=arith, op=op, message=message) -> Any:
             left, right = lf(row), rf(row)
@@ -726,6 +738,8 @@ def install_kernels(plan: PlanNode, database: Any) -> Scope:
         return _install_filter(plan, database)
     if isinstance(plan, HashJoinNode):
         return _install_hash_join(plan, database)
+    if isinstance(plan, SemiJoinNode):
+        return _install_semi_join(plan, database)
     if isinstance(plan, ReorderNode):
         return _install_reorder(plan, database)
     if isinstance(plan, JoinNode):
@@ -897,6 +911,54 @@ def _hash_build(rows: list, sel: Iterable[int], key_fn: RowFn) -> dict[Any, list
         else:
             bucket.append(row)
     return buckets
+
+
+def _install_semi_join(plan: SemiJoinNode, database: Any) -> Scope:
+    left_scope = install_kernels(plan.left, database)
+    right_scope = install_kernels(plan.right, database)
+    bind_left = bind_expr(plan.left_key, left_scope)
+    bind_right = bind_expr(plan.right_key, right_scope)
+    keep_left = plan.keep == "left"
+    kept_scope = left_scope if keep_left else right_scope
+    kept_expr = plan.left_key if keep_left else plan.right_key
+    kept_pos = column_position(kept_expr, kept_scope)
+    # The hash join this replaces emitted its probe side's order: the kept
+    # side's own when it built on the other side, else the other side's.
+    probe_kept = plan.build != plan.keep
+
+    def kernel(engine: Any, node: SemiJoinNode, outer: Outer) -> tuple[Scope, Batch]:
+        # Both sides run, in plan order, so the same error surfaces first.
+        lscope, lbatch = engine._run_plan_batch(node.left, outer)
+        rscope, rbatch = engine._run_plan_batch(node.right, outer)
+        left_key = bind_left(engine, outer)
+        right_key = bind_right(engine, outer)
+        if keep_left:
+            scope, kept, other = lscope, lbatch, rbatch
+            kept_key, other_key = left_key, right_key
+        else:
+            scope, kept, other = rscope, rbatch, lbatch
+            kept_key, other_key = right_key, left_key
+        rows = kept.rows
+        if not probe_kept:
+            # The other side's key is its primary key, so each bucket is
+            # emitted at most once.
+            buckets = _hash_build(rows, kept.sel, kept_key)
+            out = [
+                row
+                for other_row in map(other.rows.__getitem__, other.sel)
+                for row in buckets.get(other_key(other_row), ())
+            ]
+            return scope, Batch(out, range(len(out)))
+        keys = set(map(other_key, map(other.rows.__getitem__, other.sel)))
+        keys.discard(None)
+        if kept_pos is None:
+            sel = [i for i in kept.sel if kept_key(rows[i]) in keys]
+        else:  # indexing in the loop beats calling the key's itemgetter
+            sel = [i for i in kept.sel if rows[i][kept_pos] in keys]
+        return scope, Batch(rows, sel)
+
+    plan._kernel = kernel
+    return kept_scope
 
 
 def _install_reorder(plan: ReorderNode, database: Any) -> Scope:

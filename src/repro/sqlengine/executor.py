@@ -78,6 +78,31 @@ _TYPE_NAMES = {
 }
 
 
+def _read_bindings(select: ast.Select) -> frozenset[str] | None:
+    """Bindings the select list, GROUP BY, HAVING and ORDER BY read.
+
+    None when one of them holds a ``*`` item, an unqualified column or a
+    subquery, whose bindings are not known before the plan runs; the
+    optimizer then keeps every join.  ``COUNT(*)`` reads no binding.
+    """
+    if any(isinstance(item.expr, ast.Star) for item in select.items):
+        return None
+    exprs = [item.expr for item in select.items] + list(select.group_by)
+    if select.having is not None:
+        exprs.append(select.having)
+    exprs.extend(order.expr for order in select.order_by)
+    found: set[str] = set()
+    for expr in exprs:
+        for node in ast.walk(expr):
+            if isinstance(node, (ast.InSubquery, ast.ScalarSubquery, ast.Exists)):
+                return None
+            if isinstance(node, ast.ColumnRef):
+                if node.table is None:
+                    return None
+                found.add(node.table.lower())
+    return frozenset(found)
+
+
 def _tuple_of(fns: list[RowFn]) -> RowFn:
     """One row closure returning the tuple of ``fns``' values, in order."""
     return lambda row: tuple([fn(row) for fn in fns])
@@ -285,6 +310,15 @@ class Engine:
             object.__setattr__(select, "_dep_tables", deps)
         return deps
 
+    @staticmethod
+    def _reads(select: ast.Select) -> frozenset[str] | None:
+        """:func:`_read_bindings` of ``select``, memoized on the node."""
+        reads = getattr(select, "_read_bindings", False)
+        if reads is False:
+            reads = _read_bindings(select)
+            object.__setattr__(select, "_read_bindings", reads)
+        return reads
+
     def _dependency_stamps(self, select: ast.Select) -> dict[str, int]:
         """``{table: version}`` stamps for the statement's tables, as seen
         by the current read source (the pinned snapshot when executing
@@ -309,7 +343,9 @@ class Engine:
                 return plan
         plan = build_plan(select, source)
         if self.use_optimizer:
-            plan = optimize(plan, source, use_indexes=self.use_indexes)
+            plan = optimize(
+                plan, source, use_indexes=self.use_indexes, reads=self._reads(select)
+            )
         if plan is not None:
             install_kernels(plan, source)
         if self.plan_cache is not None:
@@ -348,13 +384,17 @@ class Engine:
             projected = self._project_batch(select, scope, batch, outer)
         columns, rows, keys = projected
         if select.distinct:
-            first: dict[tuple[Any, ...], int] = {}
-            for position, row in enumerate(rows):
-                first.setdefault(row, position)
-            if len(first) < len(rows):
-                kept = list(first.values())
-                rows = [rows[i] for i in kept]
-                keys = [[column[i] for i in kept] for column in keys]
+            if not keys:
+                rows = list(dict.fromkeys(rows))
+            else:
+                # ORDER BY keys ride along: keep each first row's position.
+                first: dict[tuple[Any, ...], int] = {}
+                for position, row in enumerate(rows):
+                    first.setdefault(row, position)
+                if len(first) < len(rows):
+                    kept = list(first.values())
+                    rows = [rows[i] for i in kept]
+                    keys = [[column[i] for i in kept] for column in keys]
         if select.order_by and len(rows) > 1:
             order = sort_permutation(
                 keys, [item.descending for item in select.order_by]

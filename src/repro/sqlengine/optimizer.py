@@ -12,7 +12,14 @@ Rewrites, applied in order:
 3. **Hash-join selection** — an INNER/LEFT join whose condition contains an
    equi-conjunct between the two sides becomes a :class:`HashJoinNode`; the
    build side is the one with the smaller estimated cardinality.
-4. **Index hints** — scan-local equality/range/IN/BETWEEN predicates on
+4. **Semi-joins** — an INNER hash join with no residual whose one side is
+   a scan joined on its table's primary key, where nothing above reads
+   that scan, becomes a :class:`SemiJoinNode`: it narrows the other
+   side's selection and builds no joined row.  "Above" is the bindings
+   the statement reads over the plan (``reads``, from the executor; None
+   turns the rewrite off), every ancestor join key and residual, and
+   every filter above.
+5. **Index hints** — scan-local equality/range/IN/BETWEEN predicates on
    indexed columns become index access hints (``eq_filters`` /
    ``range_filters`` / ``in_filters``).
 
@@ -24,6 +31,7 @@ tests against the naive plan.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from repro.sqlengine import ast_nodes as ast
@@ -35,6 +43,7 @@ from repro.sqlengine.planner import (
     PlanNode,
     ReorderNode,
     ScanNode,
+    SemiJoinNode,
     conjoin,
     expr_bindings,
     split_conjuncts,
@@ -50,14 +59,23 @@ _FILTER_GUESS = DEFAULT_SELECTIVITY
 
 
 def optimize(
-    plan: PlanNode | None, database: Database, use_indexes: bool = True
+    plan: PlanNode | None,
+    database: Database,
+    use_indexes: bool = True,
+    reads: frozenset[str] | None = None,
 ) -> PlanNode | None:
-    """Optimize ``plan`` (may return a new tree)."""
+    """Optimize ``plan`` (may return a new tree).
+
+    ``reads`` holds the bindings the statement reads above the plan; only
+    with it may a join that nothing reads become a semi-join.
+    """
     if plan is None:
         return None
     plan = _push_down(plan)
     plan = _reorder_joins(plan, database)
     plan = _select_hash_joins(plan, database)
+    if reads is not None:
+        plan = _semi_joins(plan, database, reads)
     if use_indexes:
         install_index_hints(plan, database)
     return plan
@@ -265,7 +283,7 @@ def _collect_binding_tables(node: PlanNode, out: dict[str, str]) -> None:
     # cycle, garbage for the cyclic collector on every call.
     if isinstance(node, ScanNode):
         out[node.binding] = node.table_name
-    elif isinstance(node, (JoinNode, HashJoinNode)):
+    elif isinstance(node, (JoinNode, HashJoinNode, SemiJoinNode)):
         _collect_binding_tables(node.left, out)
         _collect_binding_tables(node.right, out)
     elif isinstance(node, (FilterNode, ReorderNode)):
@@ -327,7 +345,7 @@ def estimate_rows(plan: PlanNode, database: Database) -> float:
         return rows * _FILTER_GUESS ** len(split_conjuncts(plan.predicate))
     if isinstance(plan, ReorderNode):
         return estimate_rows(plan.child, database)
-    if isinstance(plan, HashJoinNode):
+    if isinstance(plan, (HashJoinNode, SemiJoinNode)):
         left = estimate_rows(plan.left, database)
         right = estimate_rows(plan.right, database)
         return estimate_equi_join_rows(
@@ -538,6 +556,92 @@ def _select_hash_joins(plan: PlanNode, database: Database) -> PlanNode:
     return JoinNode(left, right, plan.condition, plan.kind)
 
 
+# -- semi-joins ------------------------------------------------------------------
+
+
+def _semi_joins(plan: PlanNode, database: Database, above: frozenset[str]) -> PlanNode:
+    """Rewrite the joins under ``plan`` that only filter into semi-joins.
+
+    ``above`` holds the bindings read above ``plan``.  A filter or join
+    condition whose bindings cannot be told (a subquery, an unqualified
+    column) leaves its subtree as it is.
+    """
+    if isinstance(plan, FilterNode):
+        refs = expr_bindings(plan.predicate, set(plan.child.bindings()))
+        if refs is None:
+            return plan
+        child = _semi_joins(plan.child, database, above | refs)
+        return FilterNode(child, plan.predicate)
+    if isinstance(plan, ReorderNode):
+        child = _semi_joins(plan.child, database, above)
+        kept = child.bindings()
+        order = tuple(binding for binding in plan.order if binding in kept)
+        # What is left may already be in order (always so with one binding).
+        return child if list(order) == kept else ReorderNode(child, order)
+    if isinstance(plan, HashJoinNode):
+        exprs = [plan.left_key, plan.right_key, plan.residual]
+    elif isinstance(plan, JoinNode):
+        exprs = [plan.condition]
+    else:
+        return plan
+    scope = set(plan.bindings())
+    below = above
+    for expr in exprs:
+        refs = set() if expr is None else expr_bindings(expr, scope)
+        if refs is None:
+            return plan
+        below |= refs
+    left = _semi_joins(plan.left, database, below)
+    right = _semi_joins(plan.right, database, below)
+    if isinstance(plan, JoinNode):
+        return JoinNode(left, right, plan.condition, plan.kind)
+    dropped = _filter_side(plan, database, above)
+    if dropped is None:
+        return replace(plan, left=left, right=right)
+    return SemiJoinNode(
+        left,
+        right,
+        plan.left_key,
+        plan.right_key,
+        keep="right" if dropped == "left" else "left",
+        build=plan.build,
+        est_left=plan.est_left,
+        est_right=plan.est_right,
+    )
+
+
+def _filter_side(
+    plan: HashJoinNode, database: Database, above: frozenset[str]
+) -> str | None:
+    """The side of ``plan`` that only filters the other, or None.
+
+    That side is one scan that nothing above reads, joined on its table's
+    primary key: each row of the other side then matches at most once, so
+    the join changes no row's multiplicity.  The build side is preferred
+    when both qualify.
+    """
+    if plan.kind != "INNER" or plan.residual is not None:
+        return None
+    keys = {"left": plan.left_key, "right": plan.right_key}
+    if not all(
+        isinstance(key, ast.ColumnRef) and key.table is not None
+        for key in keys.values()
+    ):
+        return None
+    sides = {"left": plan.left, "right": plan.right}
+    probe = "left" if plan.build == "right" else "right"
+    for side in (plan.build, probe):
+        scan, key = sides[side], keys[side]
+        if (
+            isinstance(scan, ScanNode)
+            and key.table == scan.binding
+            and scan.binding not in above
+            and database.table(scan.table_name).schema.primary_key == key.name.lower()
+        ):
+            return side
+    return None
+
+
 # -- index hints -----------------------------------------------------------------
 
 
@@ -553,7 +657,7 @@ def install_index_hints(plan: PlanNode, database: Database) -> None:
     if isinstance(plan, ReorderNode):
         install_index_hints(plan.child, database)
         return
-    if isinstance(plan, (JoinNode, HashJoinNode)):
+    if isinstance(plan, (JoinNode, HashJoinNode, SemiJoinNode)):
         install_index_hints(plan.left, database)
         install_index_hints(plan.right, database)
         return

@@ -11,6 +11,8 @@ Plan nodes:
   filters and index hints chosen by the optimizer.
 * :class:`JoinNode` — nested-loop join (INNER/LEFT/CROSS) with a condition.
 * :class:`HashJoinNode` — equi-join specialisation created by the optimizer.
+* :class:`SemiJoinNode` — an INNER equi-join to a primary key whose side
+  nothing above reads: it only filters the other side.
 * :class:`FilterNode` — residual predicate on a sub-plan.
 """
 
@@ -121,6 +123,41 @@ class HashJoinNode(PlanNode):
         return (
             f"{pad}HashJoin[{self.kind} build={self.build}{est}] "
             f"{self.left_key.render()} = {self.right_key.render()}{res}\n"
+            f"{self.left.describe(indent + 1)}\n{self.right.describe(indent + 1)}"
+        )
+
+
+@dataclass
+class SemiJoinNode(PlanNode):
+    """An INNER equi-join whose ``keep`` side passes through unchanged.
+
+    The optimizer rewrites a :class:`HashJoinNode` into this node when the
+    other side is one scan joined on its table's primary key and nothing
+    above reads that scan: each kept row then matches at most once, so the
+    join only filters.  Its output is the kept side's rows in the order of
+    the hash join it replaces, which ``build`` still names.
+    """
+
+    left: PlanNode
+    right: PlanNode
+    left_key: ast.Expr
+    right_key: ast.Expr
+    keep: str = "left"  # left | right
+    build: str = "right"  # left | right
+    est_left: float | None = None
+    est_right: float | None = None
+
+    def bindings(self) -> list[str]:
+        return (self.left if self.keep == "left" else self.right).bindings()
+
+    def describe(self, indent: int = 0) -> str:
+        pad = "  " * indent
+        est = ""
+        if self.est_left is not None and self.est_right is not None:
+            est = f" est={self.est_left:.0f}x{self.est_right:.0f}"
+        return (
+            f"{pad}SemiJoin[keep={self.keep}{est}] "
+            f"{self.left_key.render()} = {self.right_key.render()}\n"
             f"{self.left.describe(indent + 1)}\n{self.right.describe(indent + 1)}"
         )
 

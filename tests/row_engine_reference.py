@@ -18,6 +18,7 @@ it is not part of the package.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterable
 
 from repro.errors import ExecutionError, UnknownColumnError
@@ -36,6 +37,7 @@ from repro.sqlengine.planner import (
     PlanNode,
     ReorderNode,
     ScanNode,
+    SemiJoinNode,
     build_plan,
     qualify_expr,
     split_conjuncts,
@@ -81,6 +83,17 @@ def _arith(left: Any, right: Any, fn: Callable[[Any, Any], Any], op: str) -> Any
             f"arithmetic {op!r} needs numbers, got {left!r} and {right!r}"
         )
     return fn(left, right)
+
+
+def _truncated_mod(left: Any, right: Any) -> Any:
+    """The remainder of division truncated toward zero: Python's floored
+    remainder, moved by one divisor when the operands' signs differ."""
+    if isinstance(left, float) or isinstance(right, float):
+        return math.fmod(left, right) or 0.0
+    remainder = left % right
+    if remainder and (left < 0) != (right < 0):
+        remainder -= right
+    return remainder
 
 
 class Evaluator:
@@ -178,7 +191,7 @@ class Evaluator:
         if op == "%":
             if right == 0:
                 raise ExecutionError("modulo by zero")
-            return _arith(left, right, lambda a, b: a % b, "%")
+            return _arith(left, right, _truncated_mod, "%")
         raise ExecutionError(f"unknown operator {expr.op!r}")
 
     def _eval_functioncall(self, expr: ast.FunctionCall, env: Env) -> Any:
@@ -341,7 +354,9 @@ class RowEngine(Engine):
                 return plan
         plan = build_plan(select, source)
         if self.use_optimizer:
-            plan = optimize(plan, source, use_indexes=self.use_indexes)
+            plan = optimize(
+                plan, source, use_indexes=self.use_indexes, reads=self._reads(select)
+            )
         if self.plan_cache is not None:
             assert cache_key is not None
             self.plan_cache.store_plan(cache_key, self._dependency_stamps(select), plan)
@@ -370,6 +385,8 @@ class RowEngine(Engine):
             return scope, kept
         if isinstance(plan, HashJoinNode):
             return self._run_hash_join(plan, outer_env)
+        if isinstance(plan, SemiJoinNode):
+            return self._run_semi_join(plan, outer_env)
         if isinstance(plan, JoinNode):
             return self._run_nested_join(plan, outer_env)
         if isinstance(plan, ReorderNode):
@@ -485,6 +502,20 @@ class RowEngine(Engine):
             if plan.kind == "LEFT" and not matched:
                 out.append(left_row + null_pad)
         return scope, out
+
+    def _run_semi_join(
+        self, plan: SemiJoinNode, outer_env: Env | None
+    ) -> tuple[Scope, list[tuple[Any, ...]]]:
+        """The hash join the semi-join replaced, cut to its kept side's
+        columns."""
+        join = HashJoinNode(
+            plan.left, plan.right, plan.left_key, plan.right_key, build=plan.build
+        )
+        scope, rows = self._run_hash_join(join, outer_env)
+        left = set(plan.left.bindings())
+        split = sum(binding in left for binding, _ in scope.entries)
+        cut = slice(None, split) if plan.keep == "left" else slice(split, None)
+        return Scope(scope.entries[cut]), [row[cut] for row in rows]
 
     # -- projection through one Env per row ----------------------------------
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets import fleet
 from repro.sqlengine import Database, Engine
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner import (
@@ -80,15 +81,11 @@ class TestPlanShapes:
         assert len(plan.residual_filters) == 1
 
     def test_equi_join_becomes_hash_join(self):
-        plan = self.plan(
-            "SELECT * FROM author a JOIN book b ON a.id = b.author_id"
-        )
+        plan = self.plan("SELECT * FROM author a JOIN book b ON a.id = b.author_id")
         assert isinstance(plan, HashJoinNode)
 
     def test_where_join_predicate_folded(self):
-        plan = self.plan(
-            "SELECT * FROM author a, book b WHERE a.id = b.author_id"
-        )
+        plan = self.plan("SELECT * FROM author a, book b WHERE a.id = b.author_id")
         assert isinstance(plan, HashJoinNode)
 
     def test_single_table_conjunct_pushed_through_join(self):
@@ -308,3 +305,82 @@ class TestIndexCorrectness:
             "SELECT COUNT(*) FROM t WHERE a = 2 AND b = 1"
         )
         assert rs.scalar() == naive.scalar()
+
+
+_SHIP_FLEET = "FROM ship JOIN fleet ON ship.fleet_id = fleet.id"
+_PACIFIC = "WHERE fleet.name = 'Pacific'"
+
+
+class TestSemiJoins:
+    """An INNER join to a primary key that nothing reads only filters."""
+
+    def setup_method(self):
+        self.engine = Engine(fleet.build_database(seed=7, ships=200))
+
+    def explain(self, sql):
+        return self.engine.explain(sql)
+
+    def test_filtered_dimension_read_nowhere(self):
+        sql = f"SELECT ship.name {_SHIP_FLEET} {_PACIFIC}"
+        assert self.explain(sql) == (
+            "SemiJoin[keep=left est=200x1] ship.fleet_id = fleet.id\n"
+            "  Scan(ship AS ship)\n"
+            "  Scan(fleet AS fleet) [residual=1]"
+        )
+        naive = Engine(self.engine.database, use_optimizer=False)
+        assert self.engine.execute(sql).rows == naive.execute(sql).rows
+
+    def test_both_dimensions_of_a_chain(self):
+        sql = (
+            f"SELECT COUNT(*) {_SHIP_FLEET} "
+            f"JOIN port ON ship.home_port_id = port.id {_PACIFIC}"
+        )
+        assert self.explain(sql) == (
+            "SemiJoin[keep=left est=50x12] ship.home_port_id = port.id\n"
+            "  SemiJoin[keep=right est=1x200] fleet.id = ship.fleet_id\n"
+            "    Scan(fleet AS fleet) [residual=1]\n"
+            "    Scan(ship AS ship)\n"
+            "  Scan(port AS port)"
+        )
+        assert "Reorder" not in self.explain(sql)
+
+    def test_a_write_to_the_dimension_still_invalidates(self):
+        # The plan reads fleet only through the semi-join, but its cache
+        # entries are stamped with every table the statement names.
+        sql = f"SELECT COUNT(*) {_SHIP_FLEET} WHERE fleet.name = 'Arctic'"
+        assert "SemiJoin" in self.explain(sql)
+        assert self.engine.execute(sql).scalar() == 0
+        self.engine.execute("UPDATE fleet SET name = 'Arctic' WHERE id = 1")
+        naive = Engine(self.engine.database, use_optimizer=False)
+        count = naive.execute(sql).scalar()
+        assert count > 0
+        assert self.engine.execute(sql).scalar() == count
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            # the dimension's column is projected
+            f"SELECT ship.name, fleet.name {_SHIP_FLEET} {_PACIFIC}",
+            # ... grouped on
+            f"SELECT COUNT(*) {_SHIP_FLEET} GROUP BY fleet.name",
+            # ... ordered on
+            f"SELECT ship.name {_SHIP_FLEET} ORDER BY fleet.name",
+            # every column of both tables
+            f"SELECT * {_SHIP_FLEET} {_PACIFIC}",
+            # the key is not the dimension's primary key
+            "SELECT ship.name FROM ship JOIN fleet ON ship.name = fleet.name",
+            "SELECT fleet.ocean FROM fleet JOIN ship ON ship.fleet_id = fleet.id",
+            # a LEFT join keeps its unmatched rows
+            "SELECT ship.name FROM ship LEFT JOIN fleet ON ship.fleet_id = fleet.id",
+            # a residual reads the dimension
+            f"SELECT ship.name {_SHIP_FLEET} AND fleet.id < ship.speed",
+            # an unqualified column could name any binding
+            f"SELECT speed {_SHIP_FLEET} {_PACIFIC}",
+            # a subquery filter stays above the join
+            f"SELECT ship.name {_SHIP_FLEET} {_PACIFIC} "
+            "AND ship.id IN (SELECT deployment.ship_id FROM deployment)",
+        ],
+    )
+    def test_does_not_fire(self, sql):
+        text = self.explain(sql)
+        assert "SemiJoin" not in text and "HashJoin" in text, text

@@ -113,6 +113,31 @@ class TestWhere:
         with pytest.raises(ExecutionError):
             engine.execute("SELECT 1 / 0")
 
+    @pytest.mark.parametrize(
+        "expr, value",
+        [
+            ("-7 % 3", -1),
+            ("7 % -3", 1),
+            ("-7 % -3", -1),
+            ("7 % 3", 1),
+            ("-6 % 3", 0),
+            ("-7.5 % 2", -1.5),
+            ("7.5 % -2", 1.5),
+            ("-6.0 % 3", 0.0),
+        ],
+    )
+    def test_modulo_takes_the_dividend_sign(self, engine, expr, value):
+        # As SQL's MOD, sqlite and PostgreSQL: the remainder of division
+        # truncated toward zero, not Python's floored one.
+        result = engine.execute(f"SELECT {expr}").scalar()
+        assert result == value and type(result) is type(value)
+        assert str(result) == str(value)  # no -0.0
+
+    @pytest.mark.parametrize("expr", ["7 % 0", "-7.5 % 0", "7 % 0.0"])
+    def test_modulo_by_zero(self, engine, expr):
+        with pytest.raises(ExecutionError, match="modulo by zero"):
+            engine.execute(f"SELECT {expr}")
+
 
 class TestJoins:
     def test_inner_join(self, engine):
