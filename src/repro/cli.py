@@ -297,13 +297,35 @@ def _serve_banner(args, specs, url: str) -> str:
     return f"repro NLIDB — {' — '.join(parts)} — listening on {url}"
 
 
-def serve_main(argv: list[str] | None = None, stdout=None) -> int:
-    """``repro serve``: run the asyncio HTTP front end until SIGINT/SIGTERM."""
+async def _serve_http(args, specs, backend, stdout) -> None:
+    """Start the HTTP front end over ``backend``, print the banner, serve
+    until SIGINT/SIGTERM, then close the server."""
     import asyncio
     import contextlib
     import signal
 
-    from repro.server import NliHttpServer, ServiceBackend
+    from repro.server import NliHttpServer
+
+    server = NliHttpServer(
+        host=args.host, port=args.port, backend=backend,
+        domain_qps=args.domain_qps, domain_burst=args.domain_burst,
+    )
+    await server.start()
+    print(_serve_banner(args, specs, server.url), file=stdout, flush=True)
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        with contextlib.suppress(NotImplementedError):  # non-unix loops
+            loop.add_signal_handler(signum, stop.set)
+    await stop.wait()
+    await server.aclose()
+
+
+def serve_main(argv: list[str] | None = None, stdout=None) -> int:
+    """``repro serve``: run the asyncio HTTP front end until SIGINT/SIGTERM."""
+    import asyncio
+
+    from repro.server import ServiceBackend
 
     parser = build_serve_parser()
     args = parser.parse_args(argv)
@@ -357,24 +379,8 @@ def serve_main(argv: list[str] | None = None, stdout=None) -> int:
     for spec in specs[1:]:
         services[spec.name] = build_local_service(spec, config)
     backend = ServiceBackend(services, default_domain=args.domain)
-
-    async def run() -> None:
-        server = NliHttpServer(
-            host=args.host, port=args.port, backend=backend,
-            domain_qps=args.domain_qps, domain_burst=args.domain_burst,
-        )
-        await server.start()
-        print(_serve_banner(args, specs, server.url), file=stdout, flush=True)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):  # non-unix loops
-                loop.add_signal_handler(signum, stop.set)
-        await stop.wait()
-        await server.aclose()
-
     try:
-        asyncio.run(run())
+        asyncio.run(_serve_http(args, specs, backend, stdout))
     except KeyboardInterrupt:  # pragma: no cover - non-unix fallback
         pass
     # Graceful exit: shrink the session log to live state, write a final
@@ -393,11 +399,8 @@ def _serve_cluster(args, specs, config, stdout) -> int:
     must never cross a live event loop), then wire router + HTTP server
     into the loop.  See docs/cluster.md."""
     import asyncio
-    import contextlib
-    import signal
 
     from repro.cluster import build_cluster, start_router
-    from repro.server import NliHttpServer
 
     supervisor = build_cluster(
         specs, args.procs, config, respawn_delay_s=args.respawn_delay,
@@ -409,19 +412,7 @@ def _serve_cluster(args, specs, config, stdout) -> int:
             supervisor, specs,
             default_domain=args.domain, qps=args.qps, burst=args.burst,
         )
-        server = NliHttpServer(
-            host=args.host, port=args.port, backend=router,
-            domain_qps=args.domain_qps, domain_burst=args.domain_burst,
-        )
-        await server.start()
-        print(_serve_banner(args, specs, server.url), file=stdout, flush=True)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):  # non-unix loops
-                loop.add_signal_handler(signum, stop.set)
-        await stop.wait()
-        await server.aclose()
+        await _serve_http(args, specs, router, stdout)
         # Workers compact their session logs and write a final checkpoint
         # inside the shutdown op before the supervisor reaps them.
         await router.aclose()

@@ -6,6 +6,13 @@ Pipeline per question::
              -> Earley parse (semantic grammar) -> interpret + rank
              -> SQL generation -> execute -> paraphrase
 
+The sequence exists once, as stage methods called in one order:
+:meth:`_walk` (normalize, parse, dialogue, interpret) fills a
+:class:`_Walk`, :meth:`_back_half` generates SQL and paraphrases, and
+:meth:`_answer` executes.  :meth:`ask`, :meth:`explain` (which renders
+the walk), :meth:`resolve` and subscriptions (:meth:`answer_reading`)
+all run them.
+
 Dialogue: pass a :class:`~repro.core.dialogue.Session` to :meth:`ask` and
 elliptical follow-ups / pronouns resolve against the previous turn.
 
@@ -179,12 +186,34 @@ class _Prepared:
     back: _BackHalf | None = None
 
 
+@dataclass(slots=True)
+class _Walk:
+    """One question's trip through the front stages, filled in order:
+    after a failure, no ``prepared`` means the parse failed and no
+    ``interpretations`` that dialogue resolution or interpretation did.
+    ``back`` is the prepared back half when it is reused as is."""
+
+    tokens: tuple[Token, ...] = ()
+    corrections: tuple[tuple[str, str], ...] = ()
+    prepared: _Prepared | None = None
+    parse_key: tuple | None = None
+    interpretations: Sequence[Interpretation] = ()
+    back: _BackHalf | None = None
+    was_fragment: bool = False
+
+    @property
+    def reusable(self) -> bool:
+        """The candidates are the cached sketches themselves, so a back
+        half may be read from and stored under ``parse_key``."""
+        return self.parse_key is not None and not self.was_fragment
+
+
 @dataclass(frozen=True)
 class _PendingClarification:
     """Parked state of one AMBIGUOUS response, consumed by resolve()."""
 
     question: str
-    words: tuple[str, ...]
+    tokens: tuple[Token, ...]
     corrections: tuple[tuple[str, str], ...]
     interpretations: tuple[Interpretation, ...]
     session: Session | None
@@ -525,9 +554,11 @@ class NaturalLanguageInterface:
         self, tokens: list[Token], layers: LanguageLayers | None = None
     ) -> QuestionTagger:
         self._ensure_fresh()
-        layers = layers or self._layers
+        return self._tag(tokens, layers or self._layers)
+
+    def _tag(self, tokens: Sequence[Token], layers: LanguageLayers) -> QuestionTagger:
         return QuestionTagger(
-            tokens, layers.lexicon, layers.value_index, self._protected
+            list(tokens), layers.lexicon, layers.value_index, self._protected
         )
 
     def parse(self, question: str, session: Session | None = None) -> list[Sketch]:
@@ -547,11 +578,12 @@ class NaturalLanguageInterface:
     ) -> tuple[_Prepared, tuple | None]:
         """Tag and parse the normalized tokens through the prepared cache.
 
-        Returns the entry and its cache key.  The key is ``None`` when a
-        pronoun resolved against the session: that parse is neither looked
-        up nor stored, and no back half may be attached to it.
+        Returns the entry and its cache key.  The key is ``None`` exactly
+        when a pronoun resolved against the session: that parse is
+        neither looked up nor stored, and no back half may be attached
+        to it.
         """
-        tokens = list(normalized.tokens)
+        tokens = normalized.tokens
         pronoun_entity = None
         if session is not None and session.last_query is not None:
             if any(t.text in PRONOUNS for t in tokens):
@@ -564,8 +596,7 @@ class NaturalLanguageInterface:
             cached = self._lookup(parse_key, layers)
             if cached is not None:
                 return cached, parse_key
-        tagger = self.tag(tokens, layers)
-        matcher = _SessionTagger(tagger, pronoun_entity)
+        matcher = _SessionTagger(self._tag(tokens, layers), pronoun_entity)
         words = [t.text for t in tokens]
         results = self.parser.parse(words, matcher, max_parses=MAX_PARSES)
         prepared = _Prepared(
@@ -631,70 +662,25 @@ class NaturalLanguageInterface:
     ) -> Response:
         with self._stats_lock:
             self._stats["asks"] += 1
-        tokens: list[Token] = []
-        interpreted = False
+        walk = _Walk()
         try:
-            normalized = self._normalize(question, layers)
-            tokens = list(normalized.tokens)
-            corrections = list(normalized.corrections)
-            if not tokens:
-                raise ParseFailure("empty question")
-            prepared, parse_key = self._prepare(
-                normalized, session, question, layers
-            )
-
-            full = [s for s in prepared.sketches if not s.fragment]
-            fragments = [s for s in prepared.sketches if s.fragment]
-            used_fragment = False
-
-            candidates: list[Sketch] = []
-            pronoun_used = session is not None and session.last_query is not None and any(
-                t.text in PRONOUNS for t in tokens
-            )
-            if full:
-                if pronoun_used:
-                    candidates = [session.resolve_pronoun_sketch(s) for s in full]
-                else:
-                    candidates = full
-            elif fragments:
-                if session is None or session.last_query is None:
-                    raise DialogueError(
-                        "this looks like a follow-up fragment, but there is no "
-                        "previous question to complete it from"
-                    )
-                candidates = [session.resolve_fragment(s) for s in fragments]
-                used_fragment = True
-            else:  # pragma: no cover - parser always yields one kind
-                raise ParseFailure("no usable parse", tokens=[t.text for t in tokens])
-
-            # The back half is reusable only when the candidates are the
-            # cached sketches themselves: not a fragment completed from
-            # the session (a resolved pronoun already left parse_key None).
-            reusable = parse_key is not None and not used_fragment
-            back = prepared.back if reusable else None
-            limit = self.config.max_interpretations
-            if back is None or back.max_interpretations != limit:
-                back = None
-                interpretations = layers.interpreter.interpret(candidates)
-            else:
-                interpretations = back.interpretations
-            interpreted = True
-            runners_up = interpretations[1:limit]
-
+            self._walk(question, session, layers, walk)
+            interpretations = walk.interpretations
+            runners_up = interpretations[1 : self.config.max_interpretations]
             if clarify and runners_up:
                 margin = interpretations[0].score - runners_up[0].score
                 if margin <= self.config.clarification_margin:
                     return self._ambiguous_response(
-                        question, tokens, corrections, session, interpretations,
-                        layers,
+                        question, walk.tokens, walk.corrections, session,
+                        interpretations, layers,
                     )
-
-            answer, filled = self._answer(
-                question, [t.text for t in tokens], corrections, interpretations,
-                back, layers, snapshot, was_fragment=used_fragment,
+            back = walk.back or self._back_half(interpretations, layers)
+            answer = self._answer(
+                question, walk.tokens, walk.corrections, back, snapshot,
+                was_fragment=walk.was_fragment,
             )
-            if reusable and filled is not back:
-                self._store(parse_key, replace(prepared, back=filled), layers)
+            if back is not walk.back and walk.reusable:
+                self._store(walk.parse_key, replace(walk.prepared, back=back), layers)
             if session is not None:
                 session.remember(
                     question, answer.query, answer.paraphrase, clarify=clarify
@@ -702,9 +688,51 @@ class NaturalLanguageInterface:
             return Response.answered(question, answer)
         except (NliError, EngineError) as exc:
             return self._failure_response(
-                question, tokens, exc, after_interpretation=interpreted,
-                layers=layers,
+                question, walk.tokens, exc,
+                after_interpretation=bool(walk.interpretations), layers=layers,
             )
+
+    def _walk(
+        self,
+        question: str,
+        session: Session | None,
+        layers: LanguageLayers,
+        walk: _Walk,
+    ) -> None:
+        """The front stages, in order, filling ``walk`` as each finishes;
+        raises the failing stage's error.  A reusable prepared back half
+        supplies the interpretations."""
+        normalized = self._normalize(question, layers)
+        tokens = walk.tokens = normalized.tokens
+        walk.corrections = normalized.corrections
+        if not tokens:
+            raise ParseFailure("empty question")
+        prepared, walk.parse_key = self._prepare(normalized, session, question, layers)
+        walk.prepared = prepared
+        full = [s for s in prepared.sketches if not s.fragment]
+        fragments = [s for s in prepared.sketches if s.fragment]
+        if full:
+            if walk.parse_key is None:  # a pronoun resolved against the session
+                candidates = [session.resolve_pronoun_sketch(s) for s in full]
+            else:
+                candidates = full
+        elif fragments:
+            if session is None or session.last_query is None:
+                raise DialogueError(
+                    "this looks like a follow-up fragment, but there is no "
+                    "previous question to complete it from"
+                )
+            candidates = [session.resolve_fragment(s) for s in fragments]
+            walk.was_fragment = True
+        else:  # pragma: no cover - parser always yields one kind
+            raise ParseFailure("no usable parse", tokens=[t.text for t in tokens])
+        back = prepared.back if walk.reusable else None
+        limit = self.config.max_interpretations
+        if back is not None and back.max_interpretations == limit:
+            walk.back = back
+            walk.interpretations = back.interpretations
+        else:
+            walk.interpretations = layers.interpreter.interpret(candidates)
 
     def ask_many(
         self,
@@ -721,11 +749,7 @@ class NaturalLanguageInterface:
         and repeated question strings share one prepared entry (a repeat
         runs only the engine) and the engine's materialized results.
         """
-        # Honour auto_refresh: when an NliService owns this pipeline, the
-        # service performs refreshes under its commit lock — a reader
-        # refreshing here would race the writer's publish.
         self._ensure_fresh()
-        previous, self.auto_refresh = self.auto_refresh, False
         layers, snapshot = self._pin()
         try:
             return [
@@ -734,7 +758,6 @@ class NaturalLanguageInterface:
             ]
         finally:
             snapshot.close()
-            self.auto_refresh = previous
 
     def has_clarification(self, clarification_id: str) -> bool:
         """True while ``clarification_id`` is parked and resolvable."""
@@ -744,11 +767,12 @@ class NaturalLanguageInterface:
         """Execute one choice of an AMBIGUOUS response, without re-parsing.
 
         The interpretation chosen at ask() time is replayed directly
-        through SQL generation and execution.  When the original ask
-        carried a :class:`Session`, the resolution is remembered there, so
-        follow-up fragments bind to the clarified reading.  Raises
-        :class:`ClarificationError` for an unknown/consumed id or an
-        out-of-range index (caller programming errors, not user input).
+        through SQL generation and execution (:meth:`answer_reading`).
+        When the original ask carried a :class:`Session`, the resolution
+        is remembered there, so follow-up fragments bind to the clarified
+        reading.  Raises :class:`ClarificationError` for an
+        unknown/consumed id or an out-of-range index (caller programming
+        errors, not user input).
         """
         pending: _PendingClarification | None = self._clarifications.get(
             clarification_id
@@ -772,87 +796,101 @@ class NaturalLanguageInterface:
                 f"unknown or already-resolved clarification id {clarification_id!r}"
             )
         chosen = pending.interpretations[choice_index]
-        # Same MVCC discipline as ask(): one atomically captured
-        # (layers, snapshot) pair, so a concurrent writer can neither
-        # tear the replay nor mix generation and execution versions.
-        layers, snapshot = self._pin()
-        try:
-            try:
-                answer, _ = self._answer(
-                    pending.question, pending.words, pending.corrections,
-                    (chosen,), None, layers, snapshot,
-                )
-            finally:
-                snapshot.close()
-        except (NliError, EngineError) as exc:
-            # Same contract as ask(): replay failures (e.g. the database
-            # changed under a parked clarification) become envelopes, not
-            # raises.  The clarification is consumed either way.
-            if pending.session is not None:
-                pending.session.pending_clarification = None
-                pending.session.pending_question = None
-            return Response(
-                status=Status.FAILED,
-                question=pending.question,
-                diagnostics=(
-                    Diagnostic(
-                        EXECUTION_ERROR, str(exc), span=(0, len(pending.words))
-                    ),
-                ),
-                tokens=pending.words,
-                error_type=type(exc).__name__,
-            )
-        if pending.session is not None:
-            pending.session.remember(
-                pending.question, chosen.query, answer.paraphrase,
+        response, _, _ = self.answer_reading(
+            pending.question, chosen, pending.tokens, pending.corrections
+        )
+        session = pending.session
+        if not response.ok:
+            # The clarification is consumed either way.
+            if session is not None:
+                session.pending_clarification = None
+                session.pending_question = None
+            return response
+        if session is not None:
+            session.remember(
+                pending.question, chosen.query, response.answer.paraphrase,
                 choice=choice_index,
             )
         with self._stats_lock:
             self._stats["clarifications_resolved"] += 1
-        return Response.answered(pending.question, answer)
+        return response
+
+    def answer_reading(
+        self,
+        question: str,
+        interpretation: Interpretation,
+        tokens: Sequence[Token] = (),
+        corrections: Sequence[tuple[str, str]] = (),
+    ) -> tuple[Response, Select | None, tuple[int, int]]:
+        """Answer one stored reading against a freshly pinned pair, as
+        :meth:`ask` pins it; shared by :meth:`resolve` and subscriptions.
+        Returns the envelope (FAILED when the replay raised), the
+        ``Select`` that ran (``None`` on failure) and the snapshot stamp.
+        """
+        layers, snapshot = self._pin()
+        stamp = snapshot.stamp
+        try:
+            back = self._back_half((interpretation,), layers)
+            answer = self._answer(question, tokens, corrections, back, snapshot)
+        except (NliError, EngineError) as exc:
+            failed = self._failure_response(
+                question, tokens, exc, after_interpretation=True
+            )
+            return failed, None, stamp
+        finally:
+            snapshot.close()
+        return Response.answered(question, answer), back.select, stamp
+
+    def _back_half(
+        self, interpretations: Sequence[Interpretation], layers: LanguageLayers
+    ) -> _BackHalf:
+        """SQL and paraphrase of the best reading, plus the runners-up."""
+        limit = self.config.max_interpretations
+        best = interpretations[0]
+        select = layers.sqlgen.generate(best.query)
+        return _BackHalf(
+            max_interpretations=limit,
+            interpretations=tuple(interpretations),
+            select=select,
+            sql=Engine._statement_key(select),
+            paraphrase=make_paraphrase(best.query),
+            alternatives=tuple(
+                (text, sql)
+                for _, text, sql in self._readings(interpretations[1:limit], layers)
+            ),
+        )
+
+    def _readings(
+        self, interpretations: Sequence[Interpretation], layers: LanguageLayers
+    ) -> list[tuple[Interpretation, str, str]]:
+        """``(interpretation, paraphrase, sql)`` of each reading that renders."""
+        out = []
+        for interpretation in interpretations:
+            try:
+                text = make_paraphrase(interpretation.query)
+                sql = layers.sqlgen.generate_sql(interpretation.query)
+            except (NliError, EngineError):  # pragma: no cover - defensive
+                continue
+            out.append((interpretation, text, sql))
+        return out
 
     def _answer(
         self,
         question: str,
-        words: Sequence[str],
+        tokens: Sequence[Token],
         corrections: Sequence[tuple[str, str]],
-        interpretations: Sequence[Interpretation],
-        back: _BackHalf | None,
-        layers: LanguageLayers,
+        back: _BackHalf,
         snapshot: Any,
         was_fragment: bool = False,
-    ) -> tuple[Answer, _BackHalf]:
-        """The one answer tail, shared by :meth:`ask` and :meth:`resolve`.
+    ) -> Answer:
+        """The one answer tail: execute ``back`` against ``snapshot``.
 
-        Builds the back half for the best of ``interpretations`` unless a
-        prepared one is passed in, then executes it against ``snapshot``.
-        Returns the answer and the back half it used.  Every answer gets
-        its own lists, so a caller mutating one cannot reach the cache.
+        Every answer gets its own lists, so a caller mutating one cannot
+        reach the cache.
         """
-        if back is None:
-            limit = self.config.max_interpretations
-            best = interpretations[0]
-            select = layers.sqlgen.generate(best.query)
-            alternatives = []
-            for other in interpretations[1:limit]:
-                try:
-                    alternatives.append(
-                        (make_paraphrase(other.query),
-                         layers.sqlgen.generate_sql(other.query))
-                    )
-                except InterpretationError:  # pragma: no cover - defensive
-                    continue
-            back = _BackHalf(
-                max_interpretations=limit,
-                interpretations=tuple(interpretations),
-                select=select,
-                sql=Engine._statement_key(select),
-                paraphrase=make_paraphrase(best.query),
-                alternatives=tuple(alternatives),
-            )
-        answer = Answer(
+        return Answer(
             question=question,
-            normalized_words=list(words),
+            normalized_words=[t.text for t in tokens],
             corrections=list(corrections),
             interpretation=back.interpretations[0],
             sql=back.sql,
@@ -861,44 +899,31 @@ class NaturalLanguageInterface:
             alternatives=list(back.alternatives),
             was_fragment=was_fragment,
         )
-        return answer, back
 
     # -- envelope construction ---------------------------------------------------
 
     def _ambiguous_response(
         self,
         question: str,
-        tokens: list[Token],
-        corrections: list[tuple[str, str]],
+        tokens: Sequence[Token],
+        corrections: Sequence[tuple[str, str]],
         session: Session | None,
         interpretations: Sequence[Interpretation],
-        layers: LanguageLayers | None = None,
+        layers: LanguageLayers,
     ) -> Response:
-        layers = layers or self._layers
         words = tuple(t.text for t in tokens)
-        choices: list[Choice] = []
-        kept: list[Interpretation] = []
-        for interpretation in interpretations:
-            try:
-                sql = layers.sqlgen.generate_sql(interpretation.query)
-                text = make_paraphrase(interpretation.query)
-            except (NliError, EngineError):  # pragma: no cover - defensive
-                continue
-            choices.append(
-                Choice(
-                    index=len(choices),
-                    paraphrase=text,
-                    sql=sql,
-                    score=interpretation.score,
-                )
-            )
-            kept.append(interpretation)
+        readings = self._readings(interpretations, layers)
+        kept = [interpretation for interpretation, _, _ in readings]
+        choices = [
+            Choice(index=i, paraphrase=text, sql=sql, score=interpretation.score)
+            for i, (interpretation, text, sql) in enumerate(readings)
+        ]
         clarification_id = f"clar-{next(self._clarification_ids)}"
         self._clarifications.put(
             clarification_id,
             _PendingClarification(
                 question=question,
-                words=words,
+                tokens=tuple(tokens),
                 corrections=tuple(corrections),
                 interpretations=tuple(kept),
                 session=session,
@@ -907,9 +932,8 @@ class NaturalLanguageInterface:
         if session is not None:
             session.pending_clarification = clarification_id
             session.pending_question = question
-        readings = [i.describe() for i in kept]
-        message = (
-            "the question is ambiguous; candidate readings: " + " | ".join(readings)
+        message = "the question is ambiguous; candidate readings: " + " | ".join(
+            i.describe() for i in kept
         )
         diagnostic = Diagnostic(
             AMBIGUOUS_QUESTION,
@@ -930,7 +954,7 @@ class NaturalLanguageInterface:
     def _failure_response(
         self,
         question: str,
-        tokens: list[Token],
+        tokens: Sequence[Token],
         error: Exception,
         after_interpretation: bool = False,
         layers: LanguageLayers | None = None,
@@ -957,7 +981,7 @@ class NaturalLanguageInterface:
         )
 
     def _unknown_word_diagnostics(
-        self, tokens: list[Token], layers: LanguageLayers | None = None
+        self, tokens: Sequence[Token], layers: LanguageLayers | None = None
     ) -> tuple[Diagnostic, ...]:
         """Per-token diagnostics for words nothing in the system can bind.
 
@@ -990,41 +1014,41 @@ class NaturalLanguageInterface:
     # -- diagnostics -----------------------------------------------------------------
 
     def explain(self, question: str, session: Session | None = None) -> str:
-        """Multi-line trace of the pipeline for one question."""
+        """Multi-line trace of :meth:`ask`'s walk for one question; the
+        ``sql:`` line is what ``ask()`` would run.  Executes nothing."""
         self._ensure_fresh()
         layers = self._layers
-        normalized = self._normalize(question, layers)
-        tokens = list(normalized.tokens)
-        corrections = normalized.corrections
+        walk = _Walk()
+        error = None
+        try:
+            self._walk(question, session, layers, walk)
+            back = walk.back or self._back_half(walk.interpretations, layers)
+        except (NliError, EngineError) as exc:
+            error = exc
         lines = [f"question: {question}"]
-        lines.append("tokens:   " + " ".join(t.text for t in tokens))
-        if corrections:
+        lines.append("tokens:   " + " ".join(t.text for t in walk.tokens))
+        if walk.corrections:
             lines.append(
-                "spelling: " + ", ".join(f"{a}->{b}" for a, b in corrections)
+                "spelling: " + ", ".join(f"{a}->{b}" for a, b in walk.corrections)
             )
-        tagger = self.tag(tokens, layers)
+        tagger = self._tag(walk.tokens, layers)
         for match in sorted(tagger.all_matches(), key=lambda m: (m.start, m.end)):
             payload = getattr(match.payload, "describe", lambda: match.payload)()
             lines.append(
                 f"  tag {match.category:7s} [{match.start}:{match.end}] {payload}"
             )
-        try:
-            prepared, _ = self._prepare(normalized, session, question, layers)
-        except ParseFailure as exc:
-            lines.append(f"parse:    FAILED ({exc})")
+        if walk.prepared is None:
+            lines.append(f"parse:    FAILED ({error})")
             return "\n".join(lines)
-        sketches = list(prepared.sketches)
-        lines.append(f"parses:   {len(sketches)}")
-        try:
-            interpretations = layers.interpreter.interpret(
-                [s for s in sketches if not s.fragment] or sketches
-            )
-        except InterpretationError as exc:
-            lines.append(f"interpret: FAILED ({exc})")
+        lines.append(f"parses:   {len(walk.prepared.sketches)}")
+        if not walk.interpretations:
+            lines.append(f"interpret: FAILED ({error})")
             return "\n".join(lines)
-        for i, interp in enumerate(interpretations):
+        for i, interp in enumerate(walk.interpretations):
             marker = "*" if i == 0 else " "
             lines.append(f" {marker} [{interp.score:5.2f}] {interp.describe()}")
-        best = interpretations[0]
-        lines.append("sql:      " + layers.sqlgen.generate_sql(best.query))
+        if error is not None:
+            lines.append(f"sql:      FAILED ({error})")
+        else:
+            lines.append("sql:      " + back.sql)
         return "\n".join(lines)

@@ -4,8 +4,9 @@
 question **once**, caches the winning interpretation as the standing
 plan, and stamps the subscription with the set of tables its generated
 SQL reads (:func:`~repro.sqlengine.ast_nodes.referenced_tables` — the
-same dependency set the plan cache uses).  From then on the
-subscription is pure bookkeeping:
+same dependency set the plan cache uses).  Each evaluation answers that
+reading through the pipeline's ``answer_reading``, the tail resolving a
+clarification uses.  From then on the subscription is pure bookkeeping:
 
 * **An idle subscription does zero work per unrelated write.**  The
   commit point hands the registry the set of tables the commit touched;
@@ -38,14 +39,13 @@ import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from repro.core.answer import Answer
-from repro.core.paraphrase import paraphrase as make_paraphrase
-from repro.errors import EngineError, NliError, ParseFailure
-from repro.service.response import EXECUTION_ERROR, Diagnostic, Response, Status
+from repro.errors import NliError
+from repro.service.response import Response, Status
 from repro.sqlengine.ast_nodes import referenced_tables
 from repro.sqlengine.table import TableDelta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.interpret import Interpretation
     from repro.service.service import NliService
 
 __all__ = [
@@ -76,23 +76,23 @@ class SubscriptionFailed(NliError):
 
 
 class Subscription:
-    """One standing question: cached plan, table stamp, frame queue."""
+    """One standing question: cached reading, table stamp, frame queue."""
 
     def __init__(
         self,
         subscription_id: str,
         question: str,
         session_id: str | None,
-        query: Any,
+        interpretation: Interpretation,
         tables: frozenset[str],
         queue_frames: int = DEFAULT_QUEUE_FRAMES,
     ) -> None:
         self.id = subscription_id
         self.question = question
         self.session_id = session_id
-        #: The cached logical plan (the winning interpretation's query);
-        #: SQL is regenerated from it per evaluation, never re-parsed.
-        self.query = query
+        #: The cached reading (the winning interpretation); SQL is
+        #: regenerated from it per evaluation, never re-parsed.
+        self.interpretation = interpretation
         #: Tables the plan reads — the re-evaluation trigger set.
         self.tables = tables
         self.queue_frames = max(1, min(int(queue_frames), MAX_QUEUE_FRAMES))
@@ -149,6 +149,8 @@ class SubscriptionRegistry:
     :meth:`commit` once the write is visible: touched tables are matched
     against every subscription's stamp, and only intersecting
     subscriptions are marked dirty and handed to the evaluator thread.
+    Every answer comes from the pipeline's ``answer_reading``; the
+    registry adds the table stamp, the digest check and the queues.
     """
 
     def __init__(self, service: "NliService") -> None:
@@ -207,7 +209,7 @@ class SubscriptionRegistry:
         session_id: str | None = None,
         queue_frames: int = DEFAULT_QUEUE_FRAMES,
     ) -> Subscription:
-        """Parse once, cache the plan, push the initial answer frame.
+        """Parse once, cache the reading, push the initial answer frame.
 
         Raises :class:`SubscriptionFailed` (carrying the failure
         envelope) when the question cannot be answered — a question that
@@ -216,16 +218,12 @@ class SubscriptionRegistry:
         response = self._service.ask(question, session=session_id)
         if response.status is not Status.ANSWERED:
             raise SubscriptionFailed(response)
-        answer = response.answer
-        assert answer is not None and answer.interpretation is not None
-        nli = self._service.nli
-        layers, snapshot = nli._pin()
-        try:
-            select = layers.sqlgen.generate(answer.interpretation.query)
-            tables = referenced_tables(select)
-            stamp = snapshot.stamp
-        finally:
-            snapshot.close()
+        interpretation = response.answer.interpretation
+        failed, select, stamp = self._service.nli.answer_reading(
+            question, interpretation
+        )
+        if select is None:
+            raise SubscriptionFailed(failed)
         with self._lock:
             if self._closed:
                 raise NliError("service is closed")
@@ -233,8 +231,8 @@ class SubscriptionRegistry:
                 f"sub-{next(self._ids)}",
                 question,
                 session_id,
-                answer.interpretation.query,
-                tables,
+                interpretation,
+                referenced_tables(select),
                 queue_frames=queue_frames,
             )
             self._subs[sub.id] = sub
@@ -297,38 +295,22 @@ class SubscriptionRegistry:
                     continue
 
     def _evaluate(self, sub: Subscription) -> None:
-        """Re-run the cached plan against one pinned MVCC snapshot."""
+        """Re-answer the cached reading against one pinned MVCC snapshot."""
         service = self._service
-        nli = service.nli
         sub.stats["evaluations"] += 1
         with self._lock:
             self.stats["evaluations"] += 1
         with service._read_access():
-            layers, snapshot = nli._pin()
-            try:
-                try:
-                    select = layers.sqlgen.generate(sub.query)
-                    sql = select.render()
-                    # Re-stamp: value references regenerate against the
-                    # current layers, so the trigger set tracks the plan.
-                    sub.tables = referenced_tables(select)
-                    result = nli.engine.execute(select, snapshot=snapshot)
-                    stamp = snapshot.stamp
-                except (NliError, EngineError) as exc:
-                    self._push_error(sub, exc, snapshot.stamp)
-                    return
-            finally:
-                snapshot.close()
-        answer = Answer(
-            question=sub.question,
-            normalized_words=[],
-            corrections=[],
-            interpretation=None,
-            sql=sql,
-            result=result,
-            paraphrase=make_paraphrase(sub.query),
-        )
-        self._push_answer(sub, Response.answered(sub.question, answer), stamp)
+            response, select, stamp = service.nli.answer_reading(
+                sub.question, sub.interpretation
+            )
+        if select is None:
+            self._push_error(sub, response, stamp)
+            return
+        # Re-stamp: value references regenerate against the current
+        # layers, so the trigger set tracks the plan.
+        sub.tables = referenced_tables(select)
+        self._push_answer(sub, response, stamp)
 
     def _push_answer(self, sub: Subscription, response: Response, stamp: Any) -> None:
         envelope = response.to_dict()
@@ -344,13 +326,10 @@ class SubscriptionRegistry:
         sub._last_digest = digest
         self._push(sub, "answer", envelope, stamp)
 
-    def _push_error(self, sub: Subscription, exc: Exception, stamp: Any) -> None:
-        envelope = Response(
-            status=Status.FAILED,
-            question=sub.question,
-            diagnostics=(Diagnostic(EXECUTION_ERROR, str(exc)),),
-            error_type=type(exc).__name__,
-        ).to_dict()
+    def _push_error(self, sub: Subscription, failed: Response, stamp: Any) -> None:
+        envelope = failed.to_dict()
+        # A standing question has no normalized words to point a span into.
+        envelope["diagnostics"][0]["span"] = None
         sub._last_digest = None
         self._push(sub, "error", envelope, stamp)
 
@@ -379,8 +358,3 @@ class SubscriptionRegistry:
             out = dict(self.stats)
             out["subscriptions_active"] = len(self._subs)
         return out
-
-
-# Referenced lazily by register(); imported here so a ParseFailure in
-# service.ask shows up as the familiar type for callers that catch it.
-_ = ParseFailure

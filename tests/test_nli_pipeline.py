@@ -7,13 +7,15 @@ interpretation.
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.core import NaturalLanguageInterface, NliConfig, Session
-from repro.datasets import fleet
+from repro.datasets import ALL_DOMAINS, fleet, load_bundle
+from repro.evaluation.goldsets import dialogue_scripts, load_gold_records
 from repro.errors import NliError
 from repro.service import Status
 from repro.sqlengine import Engine
@@ -340,3 +342,84 @@ class TestConfigKnobs:
     def test_explain_on_failure(self, nli):
         trace = nli.explain("xyzzy plugh quux")
         assert "FAILED" in trace
+
+
+SQL_LINE = "sql:      "
+FAILED_STAGE = re.compile(r"^(parse|interpret|sql): +FAILED \(", re.MULTILINE)
+
+
+@pytest.mark.parametrize("domain", ALL_DOMAINS)
+def test_explain_agrees_with_ask(domain):
+    # Every gold record; dialogue turns in script order, one session per
+    # script, explained before they are asked on that same session.
+    bundle = load_bundle(domain)
+    nli = NaturalLanguageInterface(bundle.database, domain=bundle.model)
+    records = load_gold_records(domain)
+    turns = [(item.question, None) for item in records if item.kind != "dialogue"]
+    for script in dialogue_scripts(records):
+        session = Session()
+        turns += [(item.question, session) for item in script]
+    disagree = []
+    for question, session in turns:
+        trace = nli.explain(question, session=session)
+        response = nli.ask(question, session=session)
+        sql = [line[len(SQL_LINE):] for line in trace.splitlines()
+               if line.startswith(SQL_LINE)]
+        if response.ok:
+            agrees = sql == [response.answer.sql]
+        else:
+            agrees = FAILED_STAGE.search(trace) is not None
+        if not agrees:
+            disagree.append(question)
+    assert disagree == []
+
+
+class TestExplainDialogue:
+    """``explain`` completes follow-ups from the session, as ``ask`` does."""
+
+    def test_fragment_and_pronoun_turns(self, nli):
+        session = Session()
+        nli.ask("how many ships are in the pacific fleet", session=session)
+        assert nli.explain("what about the atlantic fleet", session=session) == (
+            "question: what about the atlantic fleet\n"
+            "tokens:   what about the atlantic fleet\n"
+            "  tag VALUE   [3:4] Atlantic\n"
+            "  tag VALUE   [3:4] Atlantic\n"
+            "  tag VALUE   [3:4] Atlantic\n"
+            "  tag ENTITY  [4:5] fleet\n"
+            "parses:   6\n"
+            " * [12.05] the number of ship [name is Atlantic]\n"
+            "   [11.05] the number of ship [name is Pacific] [ocean is Atlantic]\n"
+            "   [10.55] the number of fleet [name is Atlantic]\n"
+            "   [10.05] the number of fleet [name is Pacific] [ocean is Atlantic]\n"
+            "   [ 6.55] the number of fleet [name is Pacific] [ocean is Atlantic]\n"
+            "   [ 4.55] the number of ship [name is Pacific] [ocean is Atlantic]\n"
+            "sql:      SELECT COUNT(DISTINCT ship.id) AS n FROM ship JOIN fleet ON "
+            "(ship.fleet_id = fleet.id) WHERE (fleet.name = 'Atlantic')"
+        )
+        nli.ask("what about the atlantic fleet", session=session)
+        nli.ask("and the mediterranean fleet", session=session)
+        submarine = (
+            "CategoricalEntity(entity=EntityRef(table='ship', phrase='submarine'), "
+            "condition=ValueCondition(value=ValueRef(table='shiptype', column='name', "
+            "value='submarine', phrase='submarine', approx=False), negated=False))"
+        )
+        assert nli.explain("how many of them are submarines", session=session) == (
+            "question: how many of them are submarines\n"
+            "tokens:   how many of them are submarines\n"
+            f"  tag ENTITY  [5:6] {submarine}\n"
+            "  tag VALUE   [5:6] submarine\n"
+            "parses:   1\n"
+            " * [ 8.85] the number of ship [name is Mediterranean] "
+            "[name is submarine]\n"
+            "sql:      SELECT COUNT(DISTINCT ship.id) AS n FROM ship JOIN fleet ON "
+            "(ship.fleet_id = fleet.id) JOIN shiptype ON (ship.type_id = shiptype.id) "
+            "WHERE ((fleet.name = 'Mediterranean') AND (shiptype.name = 'submarine'))"
+        )
+
+    def test_fragment_without_context_fails_as_ask_does(self, nli):
+        trace = nli.explain("what about the atlantic fleet")
+        assert trace.splitlines()[-1] == (
+            "interpret: FAILED (this looks like a follow-up fragment, but there "
+            "is no previous question to complete it from)"
+        )

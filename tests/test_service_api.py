@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 
 import pytest
 
@@ -278,6 +279,50 @@ class TestAskMany:
         assert nli.auto_refresh
         nli.ask_many(["how many ships are there"])
         assert nli.auto_refresh
+
+    def test_overlapping_batches_leave_auto_refresh_on(self):
+        # Batch A is held inside its walk until batch B has started, and B
+        # until A has returned: B must not leave the pipeline as A found
+        # it mid-batch (refreshes off), or later DML is never absorbed.
+        nli = NaturalLanguageInterface(fleet.build_database(), domain=fleet.domain())
+        a_inside, b_inside, a_returned = (threading.Event() for _ in range(3))
+        ask_pinned = nli._ask_pinned
+        first, second = "how many ships are there", "how many fleets are there"
+
+        def held(question, *args):
+            if question == first:
+                a_inside.set()
+                assert b_inside.wait(10)
+            else:
+                b_inside.set()
+                assert a_returned.wait(10)
+            return ask_pinned(question, *args)
+
+        nli._ask_pinned = held
+        responses = {}
+        batch_a = threading.Thread(
+            target=lambda: responses.setdefault("a", nli.ask_many([first]))
+        )
+        batch_b = threading.Thread(
+            target=lambda: responses.setdefault("b", nli.ask_many([second]))
+        )
+        batch_a.start()
+        assert a_inside.wait(10)
+        batch_b.start()
+        batch_a.join(10)
+        a_returned.set()
+        batch_b.join(10)
+        assert not batch_a.is_alive() and not batch_b.is_alive()
+        del nli._ask_pinned
+        assert [r.ok for r in responses["a"] + responses["b"]] == [True, True]
+        assert nli.auto_refresh
+        nli.engine.execute(
+            "INSERT INTO ship VALUES "
+            "(900, 'Zephyr', 3, 1, 1, 1, 1000, 300, 20, 1990, 100)"
+        )
+        response = nli.ask("what is the displacement of the zephyr")
+        assert response.ok
+        assert response.answer.result.rows == [(1000,)]
 
 
 class TestPreparedCacheTtl:
